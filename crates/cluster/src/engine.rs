@@ -2,15 +2,16 @@
 //!
 //! Owns the fabric ([`SimNet`]), the instances, the request population and
 //! the event loop; interleaves three event sources deterministically:
-//! the discrete event queue (arrivals, compute completions, timers,
-//! monitor ticks), network flow completions, and the per-iteration
-//! communication state machines of [`hs_collective`].
+//! the trace's arrivals (a cursor over the requests in arrival order),
+//! the discrete event queue (compute completions, timers, monitor ticks,
+//! faults, retries), and network flow completions, which drive the
+//! per-iteration communication state machines of [`hs_collective`].
 
 use crate::autoscale::{PoolSnapshot, PoolState, PoolTargets, ScaleController};
 use crate::batching::{form_prefill_batch, BatchPolicy};
 use crate::instance::{InstPhase, Instance, InstanceKind, InstanceSpec};
 use crate::kvcache::KvManager;
-use crate::kvflow::{stripe_plan, KvStripe};
+use crate::kvflow::{stripe_plan, stripes, KvStripe};
 use crate::metrics::{MemSample, SimReport};
 use crate::request::{ReqPhase, ReqState};
 use crate::strategy::{BusyPolicy, CommCtx, CommStrategy, KvCandidate, KvCtx};
@@ -79,7 +80,6 @@ impl ClusterConfig {
 }
 
 enum Ev {
-    Arrival(u32),
     ComputeDone {
         inst: usize,
     },
@@ -234,9 +234,18 @@ pub struct ClusterSim {
     events: EventQueue<Ev>,
     now: SimTime,
     reqs: Vec<ReqState>,
+    /// Request indices stably sorted by arrival time: equal arrivals keep
+    /// id order. `run` streams arrivals from here instead of queueing
+    /// them all up front, so the event queue holds O(instances) entries.
+    arrival_order: Vec<u32>,
+    /// Next unhandled position in `arrival_order`.
+    next_arrival: usize,
     prefill_queue: VecDeque<RequestId>,
     pending_admission: VecDeque<RequestId>,
     instances: Vec<Instance>,
+    /// Each instance's GPUs, stage-major (`InstanceSpec::all_gpus`), built
+    /// once: the KV stripe sources and destinations of every admission.
+    inst_gpus: Vec<Vec<NodeId>>,
     decode_offset: usize,
     kv: Vec<KvManager>,
     mem_model: MemoryModel,
@@ -340,7 +349,7 @@ impl ClusterSim {
             .unwrap_or_else(|| cfg.prefill.first().cloned().expect("at least one instance"));
         let mem_model = MemoryModel::new(&cfg.model, mem_spec.p_tens(), mem_spec.p_pipe());
 
-        let mut events = EventQueue::with_capacity(trace.len() * 4 + 16);
+        let mut events = EventQueue::new();
         // Request state is indexed by RequestId throughout the engine, so
         // ids must be positional (as `Trace::generate` produces them).
         assert!(
@@ -352,9 +361,8 @@ impl ClusterSim {
             "trace RequestIds must be positional (0..n in order)"
         );
         let reqs: Vec<ReqState> = trace.requests.iter().map(|r| ReqState::new(*r)).collect();
-        for (i, r) in trace.requests.iter().enumerate() {
-            events.push(r.arrival, Ev::Arrival(i as u32));
-        }
+        let mut arrival_order: Vec<u32> = (0..reqs.len() as u32).collect();
+        arrival_order.sort_by_key(|&i| reqs[i as usize].req.arrival);
         events.push(SimTime::ZERO + cfg.monitor_period, Ev::MonitorTick);
         for (i, f) in cfg.faults.events().iter().enumerate() {
             events.push(f.at, Ev::Fault(i as u32));
@@ -367,6 +375,7 @@ impl ClusterSim {
             (mmpp, rng)
         });
 
+        let inst_gpus = instances.iter().map(|i| i.spec.all_gpus()).collect();
         let net = SimNet::new(graph);
         let monitor = LinkMonitor::new(graph.link_count(), 0.5);
         let util_snapshot = vec![0.0; graph.link_count()];
@@ -381,9 +390,12 @@ impl ClusterSim {
             events,
             now: SimTime::ZERO,
             reqs,
+            arrival_order,
+            next_arrival: 0,
             prefill_queue: VecDeque::new(),
             pending_admission: VecDeque::new(),
             instances,
+            inst_gpus,
             decode_offset,
             kv,
             mem_model,
@@ -462,6 +474,14 @@ impl ClusterSim {
 
     /// Run until `horizon` and produce the report.
     ///
+    /// Each step advances to the earliest of three sources: the next
+    /// arrival of the trace cursor, the event queue's head, and
+    /// `SimNet::next_event_time`. At that instant, network completions
+    /// are delivered first; then exactly one arrival or one queued event
+    /// is handled. The tie rule: an arrival goes before any queued event
+    /// of the same instant, and equal arrivals go in id order (the cursor
+    /// is a stable sort). Queued events of one instant pop FIFO.
+    ///
     /// The interleave contract with `SimNet`'s incremental engine
     /// (DESIGN.md §9): `next_event_time` is `>= now` (clamped), may be
     /// `SimTime::MAX` while every flow is starved by a dead link, and
@@ -471,25 +491,28 @@ impl ClusterSim {
     /// dissolved collective, which `on_flow_done` ignores by design.
     pub fn run(&mut self, horizon: SimTime) -> SimReport {
         loop {
-            let tq = self.events.peek_time();
-            let tn = self.net.next_event_time();
-            let t = match (tq, tn) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
+            let next_arrival = self.arrival_order.get(self.next_arrival).copied();
+            let ta = next_arrival.map(|i| self.reqs[i as usize].req.arrival);
+            let Some(t) = [ta, self.events.peek_time(), self.net.next_event_time()]
+                .into_iter()
+                .flatten()
+                .min()
+            else {
+                break;
             };
             if t > horizon {
                 break;
             }
             self.now = t;
-            // Network completions first (deterministic: completion order,
-            // then queue FIFO at equal times).
+            // Network completions first (deterministic: completion order).
             let done = self.net.advance_to(t);
             for (id, flow) in done {
                 self.on_flow_done(id, flow.tag);
             }
-            if self.events.peek_time() == Some(t) {
+            if let Some(idx) = next_arrival.filter(|_| ta == Some(t)) {
+                self.next_arrival += 1;
+                self.on_arrival(idx);
+            } else if self.events.peek_time() == Some(t) {
                 let (_, ev) = self.events.pop().expect("peeked event");
                 self.handle(ev);
             }
@@ -499,23 +522,20 @@ impl ClusterSim {
         self.build_report(horizon)
     }
 
+    fn on_arrival(&mut self, idx: u32) {
+        let req = self.reqs[idx as usize].req;
+        self.tracer
+            .request_arrived(self.now, req.id.0, req.input_tokens, req.output_tokens);
+        self.tracer
+            .request_phase_begin(self.now, req.id.0, "queued");
+        self.metrics.inc(self.obs.arrived, 1);
+        self.arrived_count += 1;
+        self.prefill_queue.push_back(req.id);
+        self.kick_prefill();
+    }
+
     fn handle(&mut self, ev: Ev) {
         match ev {
-            Ev::Arrival(idx) => {
-                let req = self.reqs[idx as usize].req;
-                self.tracer.request_arrived(
-                    self.now,
-                    req.id.0,
-                    req.input_tokens,
-                    req.output_tokens,
-                );
-                self.tracer
-                    .request_phase_begin(self.now, req.id.0, "queued");
-                self.metrics.inc(self.obs.arrived, 1);
-                self.arrived_count += 1;
-                self.prefill_queue.push_back(req.id);
-                self.kick_prefill();
-            }
             Ev::ComputeDone { inst } => self.start_comm(inst),
             Ev::CollTimer { coll } => {
                 let Some(state) = self.colls.get_mut(&coll) else {
@@ -819,9 +839,7 @@ impl ClusterSim {
         if self.gpu_slowdown.is_empty() {
             return 1.0;
         }
-        self.instances[inst]
-            .spec
-            .all_gpus()
+        self.inst_gpus[inst]
             .iter()
             .map(|g| self.gpu_slowdown.get(g).copied().unwrap_or(1.0))
             .fold(1.0, f64::max)
@@ -1075,37 +1093,39 @@ impl ClusterSim {
 
     fn start_comm(&mut self, inst: usize) {
         let tokens = self.iteration_tokens(inst);
-        let spec = self.instances[inst].spec.clone();
-        let pp = spec.p_pipe().max(1) as u64;
+        let pp = self.instances[inst].spec.p_pipe().max(1) as u64;
         // Per-stage tensor-parallel sync volume: both all-reduce points of
         // each of the stage's L/pp layers.
         let stage_bytes = self.cfg.model.sync_bytes_total(tokens) / pp;
         let mut outstanding = 0usize;
 
-        for (sidx, group) in spec.stages.iter().enumerate() {
-            if group.len() < 2 || stage_bytes == 0 {
+        for sidx in 0..self.instances[inst].spec.stages.len() {
+            let stage = &self.instances[inst].spec.stages[sidx];
+            if stage.len() < 2 || stage_bytes == 0 {
                 continue;
             }
+            let group = stage.clone();
             let group_id = (inst as u64) << 8 | sidx as u64;
             let ctx = CommCtx {
                 group_id,
-                group,
+                group: &group,
                 bytes: stage_bytes,
                 now: self.now,
                 link_util: &self.util_snapshot,
             };
             let scheme = self.strategy.choose(&ctx);
-            if self.launch_collective_inner(inst, group_id, group, scheme, stage_bytes, None) {
+            if self.launch_collective_inner(inst, group_id, &group, scheme, stage_bytes, None) {
                 outstanding += 1;
             }
         }
 
         // Pipeline-stage boundary transfers (Eq. 6): activations of
         // `tokens` tokens hop from each stage's leader to the next.
-        if spec.p_pipe() > 1 && tokens > 0 {
+        if pp > 1 && tokens > 0 {
             let hop_bytes =
                 tokens * self.cfg.model.hidden as u64 * self.cfg.model.precision.bytes();
-            let hops: Vec<(NodeId, NodeId, u64)> = spec
+            let hops: Vec<(NodeId, NodeId, u64)> = self.instances[inst]
+                .spec
                 .stages
                 .windows(2)
                 .map(|w| (w[0][0], w[1][0], hop_bytes))
@@ -1425,18 +1445,17 @@ impl ClusterSim {
             }
             InstanceKind::Decode => {
                 let kv_idx = inst - self.decode_offset;
-                let active = self.instances[inst].active.clone();
-                let mut finished_reqs = Vec::new();
+                let mut any_finished = false;
                 let mut live_growth = 0u64;
                 let (ttft_sla, tpot_sla) = (self.cfg.ttft_sla_s, self.cfg.tpot_sla_s);
-                for id in &active {
+                for id in &self.instances[inst].active {
                     let r = &mut self.reqs[id.0 as usize];
                     r.tokens_generated += 1;
                     live_growth += 1;
                     if r.tokens_generated >= r.req.output_tokens {
                         r.phase = ReqPhase::Done;
                         r.finished = Some(self.now);
-                        finished_reqs.push(*id);
+                        any_finished = true;
                         let ttft = r.ttft_secs().unwrap_or(0.0);
                         let latency = self.now.saturating_since(r.req.arrival).as_secs_f64();
                         let tpot = r.tpot_secs();
@@ -1454,17 +1473,22 @@ impl ClusterSim {
                     }
                 }
                 self.kv[kv_idx].materialize(live_growth);
-                if !finished_reqs.is_empty() {
-                    for id in &finished_reqs {
-                        let r = &self.reqs[id.0 as usize];
-                        self.kv[kv_idx].release(
+                if any_finished {
+                    // The requests that just finished are exactly the
+                    // active ones in phase Done; release them in batch
+                    // order as they leave the batch.
+                    let (reqs, kv) = (&self.reqs, &mut self.kv[kv_idx]);
+                    self.instances[inst].active.retain(|id| {
+                        let r = &reqs[id.0 as usize];
+                        if r.phase != ReqPhase::Done {
+                            return true;
+                        }
+                        kv.release(
                             r.reserved_kv_tokens(),
                             r.req.input_tokens as u64 + r.tokens_generated as u64,
                         );
-                    }
-                    self.instances[inst]
-                        .active
-                        .retain(|id| !finished_reqs.contains(id));
+                        false
+                    });
                     self.retry_admissions();
                 }
                 self.start_decode_iteration(inst);
@@ -1492,64 +1516,59 @@ impl ClusterSim {
     /// `false` when no instance can take the request right now.
     fn admit_request(&mut self, id: RequestId) -> bool {
         let need = self.reqs[id.0 as usize].reserved_kv_tokens();
-        // Candidates in ascending decode-pool order (deterministic).
         // Draining/Parked instances are not admission targets.
-        let eligible: Vec<usize> = (0..self.kv.len())
-            .filter(|&d| {
-                self.instances[self.decode_offset + d].state == PoolState::Active
-                    && self.kv[d].can_admit(need)
-            })
-            .collect();
-        if eligible.is_empty() {
-            return false;
-        }
+        let eligible = |sim: &Self, d: usize| {
+            sim.instances[sim.decode_offset + d].state == PoolState::Active
+                && sim.kv[d].can_admit(need)
+        };
+        let least_loaded = |sim: &Self| -> Option<usize> {
+            (0..sim.kv.len())
+                .filter(|&d| eligible(sim, d))
+                .min_by_key(|&d| sim.instances[sim.decode_offset + d].decode_load())
+        };
         let prefill_inst = self.reqs[id.0 as usize]
             .prefill_instance
             .expect("admission before prefill completion");
         let input_tokens = self.reqs[id.0 as usize].req.input_tokens as u64;
         let bytes = input_tokens * self.cfg.model.kv_bytes_per_token();
-        let src_gpus = self.instances[prefill_inst].spec.all_gpus();
-        let least_loaded = |sim: &Self| -> usize {
-            eligible
-                .iter()
-                .copied()
-                .min_by_key(|&d| sim.instances[sim.decode_offset + d].decode_load())
-                .expect("eligible is non-empty")
-        };
+        let src_gpus = &self.inst_gpus[prefill_inst];
         // Decode-instance selection: network-aware strategies score the
         // candidates (NetKV-style); everyone else takes least-loaded.
-        let (d, est_s) = if self.strategy.network_aware_admission() {
-            let candidates: Vec<KvCandidate> = eligible
-                .iter()
-                .map(|&d| KvCandidate {
+        let choice = if self.strategy.network_aware_admission() {
+            // Candidates in ascending decode-pool order (deterministic).
+            let candidates: Vec<KvCandidate> = (0..self.kv.len())
+                .filter(|&d| eligible(self, d))
+                .map(|d| KvCandidate {
                     instance: d,
                     load: self.instances[self.decode_offset + d].decode_load(),
                     headroom_tokens: self.kv[d].headroom(),
                     capacity_tokens: self.kv[d].capacity(),
-                    dst_gpus: self.instances[self.decode_offset + d].spec.all_gpus(),
+                    dst_gpus: &self.inst_gpus[self.decode_offset + d],
                 })
                 .collect();
+            if candidates.is_empty() {
+                return false;
+            }
             let ctx = KvCtx {
                 req: id.0,
                 bytes,
-                src_gpus: &src_gpus,
+                src_gpus,
                 link_util: &self.util_snapshot,
                 now: self.now,
             };
             match self.strategy.choose_decode(&ctx, &candidates) {
                 // A choice outside the candidate set falls through to
                 // least-loaded — the strategy can never over-admit.
-                Some(c) if eligible.contains(&c.instance) => (c.instance, c.est_transfer_s),
-                _ => {
-                    let d = least_loaded(self);
-                    let est = self.idle_kv_estimate(&src_gpus, d, bytes);
-                    (d, est)
+                Some(c) if candidates.iter().any(|k| k.instance == c.instance) => {
+                    Some((c.instance, c.est_transfer_s))
                 }
+                _ => least_loaded(self).map(|d| (d, self.idle_kv_estimate(src_gpus, d, bytes))),
             }
         } else {
-            let d = least_loaded(self);
-            let est = self.idle_kv_estimate(&src_gpus, d, bytes);
-            (d, est)
+            least_loaded(self).map(|d| (d, self.idle_kv_estimate(src_gpus, d, bytes)))
+        };
+        let Some((d, est_s)) = choice else {
+            return false;
         };
         // Selection and reservation are decoupled, so re-validate instead
         // of asserting: a refused reservation defers the request rather
@@ -1569,8 +1588,11 @@ impl ClusterSim {
         self.kv[d].materialize(input_tokens);
         // Stripe the shipment across the Eq. 15 parallel TP pairs: one
         // flow per src/dst GPU pair, done when the slowest stripe drains.
-        let dst_gpus = self.instances[self.decode_offset + d].spec.all_gpus();
-        let stripes = stripe_plan(&src_gpus, &dst_gpus, bytes);
+        let stripes = stripe_plan(
+            &self.inst_gpus[prefill_inst],
+            &self.inst_gpus[self.decode_offset + d],
+            bytes,
+        );
         let mut live = Vec::with_capacity(stripes.len());
         for st in &stripes {
             // The strategy may route each stripe (HeroServe's path
@@ -1626,9 +1648,7 @@ impl ClusterSim {
     /// Network-aware strategies supply their own utilization-adjusted
     /// estimate through [`KvChoice`](crate::strategy::KvChoice).
     fn idle_kv_estimate(&self, src_gpus: &[NodeId], d: usize, bytes: u64) -> f64 {
-        let dst_gpus = self.instances[self.decode_offset + d].spec.all_gpus();
-        stripe_plan(src_gpus, &dst_gpus, bytes)
-            .iter()
+        stripes(src_gpus, &self.inst_gpus[self.decode_offset + d], bytes)
             .filter(|st| self.ap.covers(st.src) && self.ap.covers(st.dst))
             .map(|st| path_transfer_secs(&self.g, self.ap.path(st.src, st.dst), st.bytes, None))
             .fold(0.0, f64::max)
@@ -1758,17 +1778,17 @@ impl ClusterSim {
         if self.kv.is_empty() {
             return;
         }
-        let utils: Vec<f64> = self
-            .kv
-            .iter()
-            .map(|m| {
-                // Convert live tokens into whole-GPU memory utilization.
-                self.mem_model
-                    .utilization(self.cfg.gpu_memory_bytes, m.live())
-            })
-            .collect();
-        let mean = utils.iter().sum::<f64>() / utils.len() as f64;
-        let max = utils.iter().fold(0.0f64, |a, &b| a.max(b));
+        // Live tokens as whole-GPU memory utilization, summed in instance
+        // order.
+        let (mut sum, mut max) = (0.0, 0.0f64);
+        for m in &self.kv {
+            let u = self
+                .mem_model
+                .utilization(self.cfg.gpu_memory_bytes, m.live());
+            sum += u;
+            max = max.max(u);
+        }
+        let mean = sum / self.kv.len() as f64;
         self.mem_series.push(MemSample {
             t: self.now,
             mean_util: mean,

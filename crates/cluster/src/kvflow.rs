@@ -39,29 +39,81 @@ pub struct KvStripe {
 /// would carry zero bytes (payload smaller than the stripe count) are
 /// dropped from the front, never from the byte total.
 pub fn stripe_plan(src_gpus: &[NodeId], dst_gpus: &[NodeId], bytes: u64) -> Vec<KvStripe> {
-    if src_gpus.is_empty() || dst_gpus.is_empty() || bytes == 0 {
-        return Vec::new();
-    }
-    let n = src_gpus.len().max(dst_gpus.len());
-    let pairs: Vec<(NodeId, NodeId)> = (0..n)
-        .map(|i| (src_gpus[i % src_gpus.len()], dst_gpus[i % dst_gpus.len()]))
-        .filter(|(src, dst)| src != dst)
-        .collect();
-    let Some(k) = u64::try_from(pairs.len()).ok().filter(|&k| k > 0) else {
-        return Vec::new();
+    stripes(src_gpus, dst_gpus, bytes).collect()
+}
+
+/// The stripes of [`stripe_plan`], in plan order, without allocating —
+/// for estimators that only fold over the plan. The rank pairs are walked
+/// twice: once to count the fabric-crossing pairs the payload divides
+/// over, once to emit them.
+pub fn stripes<'a>(
+    src_gpus: &'a [NodeId],
+    dst_gpus: &'a [NodeId],
+    bytes: u64,
+) -> impl Iterator<Item = KvStripe> + 'a {
+    let left = if src_gpus.is_empty() || dst_gpus.is_empty() || bytes == 0 {
+        0
+    } else {
+        src_gpus.len().max(dst_gpus.len())
     };
-    let base = bytes / k;
-    let rem = bytes % k;
+    let pairs = CrossingPairs {
+        src: src_gpus,
+        dst: dst_gpus,
+        left,
+        si: 0,
+        di: 0,
+    };
+    let k = pairs.clone().count() as u64;
+    let (base, rem) = match k {
+        0 => (0, 0),
+        // The common TP1 → TP1 shipment: one stripe, no 64-bit division.
+        1 => (bytes, 0),
+        k => (bytes / k, bytes % k),
+    };
     pairs
-        .into_iter()
         .enumerate()
-        .map(|(i, (src, dst))| KvStripe {
+        .map(move |(i, (src, dst))| KvStripe {
             src,
             dst,
-            bytes: base + if i as u64 == k - 1 { rem } else { 0 },
+            bytes: base + if i as u64 + 1 == k { rem } else { 0 },
         })
         .filter(|s| s.bytes > 0)
-        .collect()
+}
+
+/// The Eq. 15 rank pairs `(src[i % s], dst[i % d])` for `i < left`, minus
+/// the self-pairs. Wrapping cursors stand in for the two remainders.
+#[derive(Clone)]
+struct CrossingPairs<'a> {
+    src: &'a [NodeId],
+    dst: &'a [NodeId],
+    left: usize,
+    si: usize,
+    di: usize,
+}
+
+impl Iterator for CrossingPairs<'_> {
+    type Item = (NodeId, NodeId);
+
+    fn next(&mut self) -> Option<(NodeId, NodeId)> {
+        while self.left > 0 {
+            self.left -= 1;
+            let pair = (self.src[self.si], self.dst[self.di]);
+            self.si = if self.si + 1 == self.src.len() {
+                0
+            } else {
+                self.si + 1
+            };
+            self.di = if self.di + 1 == self.dst.len() {
+                0
+            } else {
+                self.di + 1
+            };
+            if pair.0 != pair.1 {
+                return Some(pair);
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]

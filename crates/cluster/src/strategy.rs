@@ -48,8 +48,8 @@ pub struct CommCtx<'a> {
 /// Candidates are presented in ascending decode-pool index order (a
 /// deterministic order — never hash order) and are pre-filtered to
 /// instances whose KV manager can admit the request.
-#[derive(Clone, Debug)]
-pub struct KvCandidate {
+#[derive(Clone, Copy, Debug)]
+pub struct KvCandidate<'a> {
     /// Index into the decode pool (engine-local, dense from 0).
     pub instance: usize,
     /// Current decode load: active + joining requests.
@@ -59,7 +59,7 @@ pub struct KvCandidate {
     /// Total KV token capacity of this instance.
     pub capacity_tokens: u64,
     /// The instance's GPUs — the stripe destinations if chosen.
-    pub dst_gpus: Vec<NodeId>,
+    pub dst_gpus: &'a [NodeId],
 }
 
 /// Decision context for one decode-instance selection.
@@ -128,7 +128,11 @@ pub trait CommStrategy {
     /// an instance that is not among the candidates, falls back to the
     /// engine's least-loaded pick; the engine re-validates capacity either
     /// way, so a stale choice can never over-admit.
-    fn choose_decode(&mut self, _ctx: &KvCtx<'_>, _candidates: &[KvCandidate]) -> Option<KvChoice> {
+    fn choose_decode(
+        &mut self,
+        _ctx: &KvCtx<'_>,
+        _candidates: &[KvCandidate<'_>],
+    ) -> Option<KvChoice> {
         None
     }
 

@@ -1,33 +1,32 @@
-//! # hs-des — deterministic discrete-event simulation engine
+//! # hs-des — deterministic discrete-event simulation primitives
 //!
 //! The HeroServe reproduction runs every experiment on a software simulation
 //! of the paper's testbed (GPU servers, NVLink, Ethernet, programmable
-//! switches). All simulators in the workspace — the flow-level network
-//! simulator (`hs-simnet`), the in-network-aggregation switch model
-//! (`hs-switch`) and the serving-cluster simulator (`hs-cluster`) — are
-//! driven by the primitives in this crate:
+//! switches). This crate holds the primitives those simulators share; it
+//! has no run loop of its own:
 //!
-//! * [`SimTime`] / [`SimSpan`] — integer-nanosecond instants and durations.
-//!   Integer time makes every run bit-for-bit reproducible; there is no
-//!   floating-point drift in event ordering.
+//! * [`SimTime`] / [`SimSpan`] — integer-nanosecond instants and durations,
+//!   used by every simulator in the workspace. Integer time makes every run
+//!   bit-for-bit reproducible; there is no floating-point drift in event
+//!   ordering.
 //! * [`EventQueue`] — a stable priority queue of `(time, event)` pairs.
 //!   Events scheduled for the same instant pop in FIFO order, which removes
-//!   the usual source of nondeterminism in heap-based simulators.
-//! * [`Simulation`] — a minimal run loop over an [`EventHandler`].
+//!   the usual source of nondeterminism in heap-based simulators. The
+//!   serving-cluster engine (`hs-cluster`) keeps its timers, compute
+//!   completions, monitor ticks, faults and retries here.
 //! * [`rng`] — seed-splittable small RNGs so that independent model
 //!   components draw from independent, reproducible streams.
 //!
-//! The engine is deliberately "pull"-friendly: components such as the
-//! network simulator expose `next_event_time()` / `advance_to(t)` so a
-//! parent simulation can interleave several event sources without shared
-//! closures or trait objects crossing crate boundaries.
+//! Each simulator owns its loop. Components such as the flow-level network
+//! simulator (`hs-simnet`) expose `next_event_time()` / `advance_to(t)` so
+//! a parent loop — `hs-cluster`'s `ClusterSim::run` — can interleave
+//! several event sources without shared closures or trait objects crossing
+//! crate boundaries.
 
 pub mod queue;
 pub mod rng;
-pub mod sim;
 pub mod time;
 
 pub use queue::EventQueue;
 pub use rng::{stream_rng, SeedSplitter};
-pub use sim::{ClockError, EventHandler, Simulation};
 pub use time::{SimSpan, SimTime};

@@ -421,7 +421,8 @@ pub fn available_bandwidth(g: &Graph, link_util: &[f64]) -> Vec<f64> {
 /// with its slowest stripe. This is the network term of the NetKV-style
 /// decode-selection score — unlike a pure queue-length heuristic it sees
 /// that an NVLink-local copy is ~100× cheaper than a congested Ethernet
-/// hop.
+/// hop. The stripes are walked in place ([`hs_cluster::stripes`]), so an
+/// estimate allocates nothing.
 pub fn kv_transfer_estimate(
     g: &Graph,
     ap: &AllPairs,
@@ -430,8 +431,7 @@ pub fn kv_transfer_estimate(
     bytes: u64,
     avail: &[f64],
 ) -> f64 {
-    hs_cluster::stripe_plan(src_gpus, dst_gpus, bytes)
-        .iter()
+    hs_cluster::stripes(src_gpus, dst_gpus, bytes)
         .filter(|s| ap.covers(s.src) && ap.covers(s.dst))
         .map(|s| path_transfer_secs(g, ap.path(s.src, s.dst), s.bytes, Some(avail)))
         .fold(0.0f64, f64::max)
@@ -692,6 +692,157 @@ mod tests {
                 with_perturb <= no_perturb + 1e-12,
                 "perturbation worsened: {with_perturb} > {no_perturb}"
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod estimator_equivalence {
+    use super::*;
+    use hs_topology::builders::{testbed, BuiltTopology};
+    use hs_topology::LinkWeight;
+    use proptest::prelude::*;
+
+    /// The estimator as it was before the in-place walk: the Eq. 15 plan
+    /// materialized exactly as `stripe_plan` first did it (collect the
+    /// crossing pairs, split the bytes, drop empty stripes), then the
+    /// same filter / map / max fold.
+    fn materialized_estimate(
+        g: &Graph,
+        ap: &AllPairs,
+        src: &[NodeId],
+        dst: &[NodeId],
+        bytes: u64,
+        avail: &[f64],
+    ) -> f64 {
+        if src.is_empty() || dst.is_empty() || bytes == 0 {
+            return 0.0;
+        }
+        let n = src.len().max(dst.len());
+        let pairs: Vec<(NodeId, NodeId)> = (0..n)
+            .map(|i| (src[i % src.len()], dst[i % dst.len()]))
+            .filter(|(s, d)| s != d)
+            .collect();
+        let k = pairs.len() as u64;
+        if k == 0 {
+            return 0.0;
+        }
+        let (base, rem) = (bytes / k, bytes % k);
+        let plan: Vec<hs_cluster::KvStripe> = pairs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (src, dst))| hs_cluster::KvStripe {
+                src,
+                dst,
+                bytes: base + if i as u64 == k - 1 { rem } else { 0 },
+            })
+            .filter(|s| s.bytes > 0)
+            .collect();
+        plan.iter()
+            .filter(|s| ap.covers(s.src) && ap.covers(s.dst))
+            .map(|s| path_transfer_secs(g, ap.path(s.src, s.dst), s.bytes, Some(avail)))
+            .fold(0.0f64, f64::max)
+    }
+
+    /// The testbed with its last server's GPUs left out of the all-pairs
+    /// structure, so the coverage filter has something to drop.
+    fn setup() -> (BuiltTopology, AllPairs, Vec<NodeId>) {
+        let t = testbed();
+        let gpus = t.all_gpus();
+        let uncovered = t.gpus_by_server.last().expect("servers").clone();
+        let mut nodes: Vec<NodeId> = gpus
+            .iter()
+            .copied()
+            .filter(|g| !uncovered.contains(g))
+            .collect();
+        nodes.extend(&t.access_switches);
+        let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
+        (t, ap, gpus)
+    }
+
+    fn assert_equivalent(
+        t: &BuiltTopology,
+        ap: &AllPairs,
+        src: &[NodeId],
+        dst: &[NodeId],
+        bytes: u64,
+        avail: &[f64],
+    ) {
+        let fast = kv_transfer_estimate(&t.graph, ap, src, dst, bytes, avail);
+        let reference = materialized_estimate(&t.graph, ap, src, dst, bytes, avail);
+        let via_plan = hs_cluster::stripe_plan(src, dst, bytes)
+            .iter()
+            .filter(|s| ap.covers(s.src) && ap.covers(s.dst))
+            .map(|s| path_transfer_secs(&t.graph, ap.path(s.src, s.dst), s.bytes, Some(avail)))
+            .fold(0.0f64, f64::max);
+        assert_eq!(
+            fast.to_bits(),
+            reference.to_bits(),
+            "{src:?} -> {dst:?}, {bytes} B: {fast} vs {reference}"
+        );
+        assert_eq!(fast.to_bits(), via_plan.to_bits());
+    }
+
+    #[test]
+    fn in_place_estimate_matches_materialized_plan_on_edge_cases() {
+        let (t, ap, g) = setup();
+        let mut util = vec![0.0; t.graph.link_count()];
+        for (i, u) in util.iter_mut().enumerate() {
+            *u = (i % 5) as f64 * 0.2;
+        }
+        let avail = available_bandwidth(&t.graph, &util);
+        let cases: [(Vec<NodeId>, Vec<NodeId>, u64); 7] = [
+            // Co-located pairs: rank 1 is a self-pair; all self-pairs.
+            (vec![g[0], g[1], g[2]], vec![g[4], g[1], g[6]], 1_000_003),
+            (vec![g[0], g[1]], vec![g[0], g[1]], 4_096),
+            // Fewer bytes than stripe pairs: only the last stripe ships.
+            (
+                vec![g[0], g[1], g[2], g[3]],
+                vec![g[8], g[9], g[10], g[11]],
+                3,
+            ),
+            (
+                vec![g[0], g[1], g[2], g[3]],
+                vec![g[8], g[9], g[10], g[11]],
+                4,
+            ),
+            // Zero bytes.
+            (vec![g[0]], vec![g[8]], 0),
+            // Unequal group sizes in both directions, one side uncovered.
+            (vec![g[0], g[1]], vec![g[4], g[5], g[12], g[13]], 777_777),
+            (vec![g[4], g[5], g[6], g[7], g[13]], vec![g[9]], 1 << 33),
+        ];
+        for (src, dst, bytes) in &cases {
+            assert_equivalent(&t, &ap, src, dst, *bytes, &avail);
+        }
+    }
+
+    proptest! {
+        /// Random groups drawn from one small GPU pool (so co-located
+        /// pairs are common), random sizes on both sides, byte counts
+        /// from zero through below-the-stripe-count to tens of GB, and a
+        /// random utilization snapshot: bit-identical estimates.
+        #[test]
+        fn in_place_estimate_matches_materialized_plan(
+            src in proptest::collection::vec(0usize..16, 1..8),
+            dst in proptest::collection::vec(0usize..16, 1..8),
+            bytes_kind in 0u8..3,
+            raw_bytes in 0u64..1 << 35,
+            util_seed in 0u64..1 << 20,
+        ) {
+            let (t, ap, g) = setup();
+            let src: Vec<NodeId> = src.into_iter().map(|i| g[i]).collect();
+            let dst: Vec<NodeId> = dst.into_iter().map(|i| g[i]).collect();
+            let bytes = match bytes_kind {
+                0 => 0,
+                1 => raw_bytes % 8,
+                _ => raw_bytes,
+            };
+            let util: Vec<f64> = (0..t.graph.link_count() as u64)
+                .map(|l| ((l * 7919 + util_seed) % 101) as f64 / 100.0)
+                .collect();
+            let avail = available_bandwidth(&t.graph, &util);
+            assert_equivalent(&t, &ap, &src, &dst, bytes, &avail);
         }
     }
 }

@@ -275,7 +275,13 @@ pub struct HeroScheduler {
     /// Keyed in group-id order: `on_monitor` walks every table and its
     /// visit order reaches the trace stream.
     tables: BTreeMap<u64, PolicyTable>,
-    link_util: Vec<f64>,
+    /// NetKV's residual bandwidth per link, `available_bandwidth(graph,
+    /// kv_avail_util)`. The engine's utilization snapshot changes only at
+    /// monitor ticks, so admissions between two ticks share one vector;
+    /// any other snapshot rebuilds it.
+    kv_avail: Vec<f64>,
+    /// The utilization snapshot `kv_avail` was computed from.
+    kv_avail_util: Vec<f64>,
     /// Cached alternative routes per endpoint pair (Yen's k-shortest),
     /// for the point-to-point path policies of Fig. 5. Ordered so fault
     /// invalidation sweeps are deterministic.
@@ -292,14 +298,16 @@ impl HeroScheduler {
     /// INA switches (reuse the planner's all-pairs structures).
     pub fn new(graph: &Graph, ap: AllPairs, params: SchedulerParams) -> Self {
         let ina_switches = graph.ina_switches();
-        let link_util = vec![0.0; graph.link_count()];
+        let kv_avail_util = vec![0.0; graph.link_count()];
+        let kv_avail = available_bandwidth(graph, &kv_avail_util);
         HeroScheduler {
             graph: graph.clone(),
             ap,
             ina_switches,
             params,
             tables: BTreeMap::new(),
-            link_util,
+            kv_avail,
+            kv_avail_util,
             route_cache: BTreeMap::new(),
             dead_links: FxHashSet::default(),
             tracer: hs_obs::Tracer::noop(),
@@ -469,20 +477,35 @@ impl CommStrategy for HeroScheduler {
     /// plus load/pressure penalties. Ties (exactly equal scores) keep the
     /// lowest instance index — candidates arrive in ascending order, so
     /// strict `<` comparison is the deterministic tiebreak.
-    fn choose_decode(&mut self, ctx: &KvCtx<'_>, candidates: &[KvCandidate]) -> Option<KvChoice> {
+    fn choose_decode(
+        &mut self,
+        ctx: &KvCtx<'_>,
+        candidates: &[KvCandidate<'_>],
+    ) -> Option<KvChoice> {
         if self.params.kv_select != KvSelection::NetKv {
             return None;
         }
-        let avail = available_bandwidth(&self.graph, ctx.link_util);
+        // Bitwise, and without early exit so the compare vectorizes.
+        let same_snapshot = self.kv_avail_util.len() == ctx.link_util.len()
+            && self
+                .kv_avail_util
+                .iter()
+                .zip(ctx.link_util)
+                .fold(true, |eq, (a, b)| eq & (a.to_bits() == b.to_bits()));
+        if !same_snapshot {
+            self.kv_avail_util.clear();
+            self.kv_avail_util.extend_from_slice(ctx.link_util);
+            self.kv_avail = available_bandwidth(&self.graph, ctx.link_util);
+        }
         let mut best: Option<(f64, KvChoice)> = None;
         for c in candidates {
             let est = kv_transfer_estimate(
                 &self.graph,
                 &self.ap,
                 ctx.src_gpus,
-                &c.dst_gpus,
+                c.dst_gpus,
                 ctx.bytes,
-                &avail,
+                &self.kv_avail,
             );
             let reserved_frac = if c.capacity_tokens == 0 {
                 1.0
@@ -510,8 +533,6 @@ impl CommStrategy for HeroScheduler {
     }
 
     fn on_monitor(&mut self, link_util: &[f64], now: SimTime) {
-        self.link_util.clear();
-        self.link_util.extend_from_slice(link_util);
         for (&gid, table) in self.tables.iter_mut() {
             // Refresh syncs b to measured utilization, superseding any
             // pending select-time decay.
@@ -859,10 +880,10 @@ mod tests {
 
     fn kv_candidate(
         instance: usize,
-        dst_gpus: Vec<NodeId>,
+        dst_gpus: &[NodeId],
         load: usize,
         headroom: u64,
-    ) -> KvCandidate {
+    ) -> KvCandidate<'_> {
         KvCandidate {
             instance,
             load,
@@ -891,8 +912,8 @@ mod tests {
             .choose_decode(
                 &ctx,
                 &[
-                    kv_candidate(0, t.gpus_by_server[1][..2].to_vec(), 1, 5_000),
-                    kv_candidate(1, t.gpus_by_server[0][2..].to_vec(), 1, 5_000),
+                    kv_candidate(0, &t.gpus_by_server[1][..2], 1, 5_000),
+                    kv_candidate(1, &t.gpus_by_server[0][2..], 1, 5_000),
                 ],
             )
             .expect("a choice among nonempty candidates");
@@ -905,8 +926,8 @@ mod tests {
         let (mut s, _, t) = scheduler();
         let src = t.gpus_by_server[0].clone();
         let candidates = [
-            kv_candidate(0, t.gpus_by_server[1].clone(), 1, 5_000),
-            kv_candidate(1, t.gpus_by_server[3].clone(), 1, 5_000),
+            kv_candidate(0, &t.gpus_by_server[1], 1, 5_000),
+            kv_candidate(1, &t.gpus_by_server[3], 1, 5_000),
         ];
         // Idle fabric: symmetric estimates, lowest index wins the tie.
         let idle = vec![0.0; t.graph.link_count()];
@@ -939,6 +960,43 @@ mod tests {
         assert!(hot.est_transfer_s < c.est_transfer_s * 10.0);
     }
 
+    /// The residual-bandwidth vector is cached per utilization snapshot,
+    /// never beyond it: rewriting the caller's buffer in place (what the
+    /// engine does at a monitor tick) or passing a different one must
+    /// give exactly what a fresh scheduler computes.
+    #[test]
+    fn netkv_bandwidth_cache_follows_the_snapshot() {
+        let (mut s, _, t) = scheduler();
+        let src = t.gpus_by_server[0].clone();
+        let candidates = [
+            kv_candidate(0, &t.gpus_by_server[1], 1, 5_000),
+            kv_candidate(1, &t.gpus_by_server[3], 1, 5_000),
+        ];
+        let pick = |s: &mut HeroScheduler, util: &[f64]| {
+            let ctx = KvCtx {
+                req: 0,
+                bytes: 256 << 20,
+                src_gpus: &src,
+                link_util: util,
+                now: SimTime::ZERO,
+            };
+            s.choose_decode(&ctx, &candidates).expect("choice")
+        };
+        let mut util = vec![0.0; t.graph.link_count()];
+        let idle = pick(&mut s, &util);
+        for (lid, link) in t.graph.links() {
+            if t.gpus_by_server[1].contains(&link.a) || t.gpus_by_server[1].contains(&link.b) {
+                util[lid.idx()] = 0.95;
+            }
+        }
+        let hot = pick(&mut s, &util);
+        let (mut fresh, _, _) = scheduler();
+        assert_eq!(hot, pick(&mut fresh, &util), "in-place update must refresh");
+        assert_ne!(hot, idle, "the hot snapshot changes the estimate");
+        let other = vec![0.0; t.graph.link_count()];
+        assert_eq!(pick(&mut s, &other), idle, "another buffer must refresh");
+    }
+
     #[test]
     fn netkv_penalizes_kv_pressure() {
         let (mut s, _, t) = scheduler();
@@ -956,8 +1014,8 @@ mod tests {
             .choose_decode(
                 &ctx,
                 &[
-                    kv_candidate(0, t.gpus_by_server[1].clone(), 1, 100),
-                    kv_candidate(1, t.gpus_by_server[3].clone(), 1, 9_000),
+                    kv_candidate(0, &t.gpus_by_server[1], 1, 100),
+                    kv_candidate(1, &t.gpus_by_server[3], 1, 9_000),
                 ],
             )
             .expect("choice");
@@ -986,11 +1044,8 @@ mod tests {
             now: SimTime::ZERO,
         };
         assert!(
-            s.choose_decode(
-                &ctx,
-                &[kv_candidate(0, t.gpus_by_server[1].clone(), 0, 9_000)]
-            )
-            .is_none(),
+            s.choose_decode(&ctx, &[kv_candidate(0, &t.gpus_by_server[1], 0, 9_000)])
+                .is_none(),
             "least-loaded mode must defer to the engine"
         );
     }

@@ -35,6 +35,7 @@ pub mod fairshare;
 pub mod monitor;
 pub mod net;
 mod shard;
+mod slab;
 
 pub use fairshare::{compute_rates, FlowSpan, OneRoundSolver, SolverWorkspace};
 pub use monitor::LinkMonitor;

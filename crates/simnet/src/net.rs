@@ -49,6 +49,7 @@
 
 use crate::fairshare::{FlowSpan, OneRoundSolver, SolverWorkspace};
 use crate::shard::{run_shard, ShardTask};
+use crate::slab::FlowSlab;
 use hs_des::{SimSpan, SimTime};
 use hs_topology::{Graph, LinkId};
 use rayon::prelude::*;
@@ -287,17 +288,11 @@ pub struct SimNet {
     /// kept in sync with `capacities`.
     dir_caps: Vec<f64>,
     link_latency_ns: Vec<u64>,
-    /// Active flows, stored as a slab indexed by `FlowId` — ids are
-    /// issued monotonically and never reused, so a flow's id *is* its
-    /// slot. Per-event validity checks dominate the hot path and a direct
-    /// index beats any hash; slab order is ascending-id order, which is
-    /// exactly what every order-sensitive traversal needs. A completed
-    /// flow leaves a `None` slot behind: retained memory is proportional
-    /// to flows ever started (~a pointer-sized header plus the `Flow`
-    /// footprint per slot), the price of hash-free lookups.
-    flows: Vec<Option<Flow>>,
-    /// Number of `Some` entries in `flows`.
-    n_live: usize,
+    /// Active flows by id (see [`FlowSlab`]). Per-event validity checks
+    /// dominate the hot path and a direct index beats any hash; slab
+    /// order is ascending-id order, which is exactly what every
+    /// order-sensitive traversal needs.
+    flows: FlowSlab,
     next_id: u64,
     clock: SimTime,
     /// Cumulative bytes delivered per directed link as of each flow's last
@@ -354,8 +349,7 @@ impl SimNet {
             capacities,
             dir_caps,
             link_latency_ns,
-            flows: Vec::new(),
-            n_live: 0,
+            flows: FlowSlab::default(),
             next_id: 0,
             clock: SimTime::ZERO,
             cum_bytes: vec![0.0; 2 * n],
@@ -422,7 +416,7 @@ impl SimNet {
 
     /// Number of in-flight flows.
     pub fn active_flow_count(&self) -> usize {
-        self.n_live
+        self.flows.len()
     }
 
     /// Start a unit-weight flow of `bytes` over the directed `path` at
@@ -482,7 +476,7 @@ impl SimNet {
             }
             self.mark_dirty_path(path);
         }
-        self.put_flow(id, f);
+        self.flows.put(id, f);
         self.tracer.flow_start(now, id.0, tag, bytes, path.len());
         id
     }
@@ -499,7 +493,7 @@ impl SimNet {
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<Flow> {
         self.progress_to(now);
         let clock = self.clock;
-        let drained = match self.flows.get_mut(id.0 as usize).and_then(Option::as_mut) {
+        let drained = match self.flows.get_mut(id) {
             None => return None,
             Some(f) => {
                 // A cancel is a touch point: accrue before deciding.
@@ -510,7 +504,7 @@ impl SimNet {
         if drained {
             return None;
         }
-        let f = self.take_flow(id).expect("flow looked up just above");
+        let f = self.flows.remove(id).expect("flow looked up just above");
         self.unlink(id, &f.path);
         self.mark_dirty_path(&f.path);
         self.tracer.flow_abort(now, id.0, "cancelled");
@@ -521,7 +515,7 @@ impl SimNet {
     /// the flow's last materialization — use [`SimNet::flow_remaining`]
     /// for the value at the current clock.
     pub fn flow(&self, id: FlowId) -> Option<&Flow> {
-        self.flows.get(id.0 as usize).and_then(Option::as_ref)
+        self.flows.get(id)
     }
 
     /// Bytes a live flow still has to serialize at the current clock
@@ -553,7 +547,7 @@ impl SimNet {
                 }
             }
         }
-        if self.n_live == 0 {
+        if self.flows.is_empty() {
             None
         } else {
             // Every remaining flow is starved (rate 0 on a dead link).
@@ -592,7 +586,7 @@ impl SimNet {
             // clock; the engine clock never moves backwards.
             self.clock = self.clock.max(t);
             let clock = self.clock;
-            let mut f = self.take_flow(id).expect("front flow is live");
+            let mut f = self.flows.remove(id).expect("front flow is live");
             materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
             self.unlink(id, &f.path);
             self.mark_dirty_path(&f.path);
@@ -714,8 +708,7 @@ impl SimNet {
         let crossing = || {
             self.flows
                 .iter()
-                .flatten()
-                .filter(|f| f.path.iter().any(|&(fl, _)| fl == l))
+                .filter(|(_, f)| f.path.iter().any(|&(fl, _)| fl == l))
                 .count()
         };
         if factor > 0.0 {
@@ -730,10 +723,8 @@ impl SimNet {
         let doomed: Vec<FlowId> = self
             .flows
             .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.as_ref().map(|f| (i, f)))
             .filter(|(_, f)| f.path.iter().any(|&(fl, _)| fl == l))
-            .map(|(i, _)| FlowId(i as u64))
+            .map(|(id, _)| id)
             .collect();
         if self.tracer.is_enabled() {
             self.tracer
@@ -746,7 +737,7 @@ impl SimNet {
         doomed
             .into_iter()
             .map(|id| {
-                let mut f = self.take_flow(id).expect("doomed flow present");
+                let mut f = self.flows.remove(id).expect("doomed flow present");
                 // An abort is a touch point: hand back accrued progress.
                 materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
                 self.unlink(id, &f.path);
@@ -764,31 +755,7 @@ impl SimNet {
     /// e.g. membership in an incidence list — guarantees liveness).
     #[inline]
     fn flow_ref(&self, id: FlowId) -> &Flow {
-        self.flows[id.0 as usize]
-            .as_ref()
-            .expect("id names a live flow")
-    }
-
-    /// Remove and return a live flow, freeing its slot.
-    #[inline]
-    fn take_flow(&mut self, id: FlowId) -> Option<Flow> {
-        let f = self.flows.get_mut(id.0 as usize).and_then(Option::take);
-        if f.is_some() {
-            self.n_live -= 1;
-        }
-        f
-    }
-
-    /// (Re-)install a flow in its id slot.
-    #[inline]
-    fn put_flow(&mut self, id: FlowId, f: Flow) {
-        let s = id.0 as usize;
-        if s >= self.flows.len() {
-            self.flows.resize_with(s + 1, || None);
-        }
-        debug_assert!(self.flows[s].is_none(), "flow slot double-filled");
-        self.flows[s] = Some(f);
-        self.n_live += 1;
+        self.flows.get(id).expect("id names a live flow")
     }
 
     /// Record that a flow over `path` was added or removed: its directed
@@ -853,9 +820,8 @@ impl SimNet {
         // Slab iteration is ascending-id order, so per-link weight sums
         // accumulate exactly as the scoped path (and the reference
         // solver) would.
-        for (i, f) in self.flows.iter().enumerate() {
-            let Some(f) = f.as_ref() else { continue };
-            scratch.ids.push(FlowId(i as u64));
+        for (id, f) in self.flows.iter() {
+            scratch.ids.push(id);
             scratch.spans.push(FlowSpan {
                 start: scratch.flat.len() as u32,
                 len: f.path.len() as u32,
@@ -870,8 +836,9 @@ impl SimNet {
         }
         let clock = self.clock;
         for (i, &id) in scratch.ids.iter().enumerate() {
-            let f = self.flows[id.0 as usize]
-                .as_mut()
+            let f = self
+                .flows
+                .get_mut(id)
                 .expect("solved flow is still present");
             let rate = rates[i];
             if rate.is_finite() {
@@ -920,8 +887,9 @@ impl SimNet {
             while let Some(s) = scratch.queue.pop() {
                 scratch.comp_links.push(s);
                 for &fid in &self.incidence[s] {
-                    let f = self.flows[fid.0 as usize]
-                        .as_mut()
+                    let f = self
+                        .flows
+                        .get_mut(fid)
                         .expect("incidence names a live flow");
                     if f.seen == gen {
                         continue;
@@ -944,9 +912,7 @@ impl SimNet {
             scratch.flat.clear();
             scratch.spans.clear();
             for &id in &scratch.ids {
-                let f = self.flows[id.0 as usize]
-                    .as_ref()
-                    .expect("scoped flow is live");
+                let f = self.flows.get(id).expect("scoped flow is live");
                 scratch.spans.push(FlowSpan {
                     start: scratch.flat.len() as u32,
                     len: f.path.len() as u32,
@@ -971,8 +937,9 @@ impl SimNet {
             }
             let clock = self.clock;
             for (i, &id) in scratch.ids.iter().enumerate() {
-                let f = self.flows[id.0 as usize]
-                    .as_mut()
+                let f = self
+                    .flows
+                    .get_mut(id)
                     .expect("solved flow is still present");
                 let rate = rates[i];
                 if rate.is_finite() {
@@ -1054,7 +1021,7 @@ impl SimNet {
             if f.path.is_empty() {
                 // Local copy: no links, no interactions — completes as a
                 // singleton merge participant.
-                let mut f = self.take_flow(id).expect("pending flow is live");
+                let mut f = self.flows.take(id).expect("pending flow is live");
                 f.remaining_bytes = 0.0;
                 locals.push((t, id, f));
                 continue;
@@ -1087,7 +1054,7 @@ impl SimNet {
                     if f.epoch != t.pre_epoch[i] && f.finish_at < SimTime::MAX {
                         self.heap.push(Reverse((f.finish_at, id, f.epoch)));
                     }
-                    self.put_flow(id, f);
+                    self.flows.put(id, f);
                 }
             }
             lists.push(o.done);
@@ -1116,6 +1083,8 @@ impl SimNet {
             done.push((id, f));
         }
         self.clock = now;
+        // Flows completed in shards were taken, never put back.
+        self.flows.compact();
         debug_assert!(!self.dirty, "shards leave rates clean");
         Some(done)
     }
@@ -1134,9 +1103,7 @@ impl SimNet {
         let scratch = &mut self.scratch;
         scratch.queue.clear();
         {
-            let f = self.flows[root.0 as usize]
-                .as_mut()
-                .expect("pending flow is live");
+            let f = self.flows.get_mut(root).expect("pending flow is live");
             f.seen = gen;
             comp_flows.push(root);
             for &d in &f.path {
@@ -1150,8 +1117,9 @@ impl SimNet {
         while let Some(s) = scratch.queue.pop() {
             comp_slots.push(s);
             for &fid in &self.incidence[s] {
-                let f = self.flows[fid.0 as usize]
-                    .as_mut()
+                let f = self
+                    .flows
+                    .get_mut(fid)
                     .expect("incidence names a live flow");
                 if f.seen == gen {
                     continue;
@@ -1178,7 +1146,7 @@ impl SimNet {
         let mut flows = Vec::with_capacity(comp_flows.len());
         let mut pre_epoch = Vec::with_capacity(comp_flows.len());
         for &fid in comp_flows {
-            let f = self.take_flow(fid).expect("component flow is live");
+            let f = self.flows.take(fid).expect("component flow is live");
             pre_epoch.push(f.epoch);
             flows.push(Some(f));
         }
@@ -1198,6 +1166,7 @@ impl SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slab::MIN_COMPACT;
     use hs_topology::{
         graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId},
         NodeId,
@@ -1249,6 +1218,33 @@ mod tests {
         assert_eq!(done[0].0, id);
         assert_eq!(done[0].1.tag, 7);
         assert_eq!(net.active_flow_count(), 0);
+    }
+
+    /// Flow storage follows the span of live ids, not the flow history:
+    /// 20k flows that come and go in waves (each wave completing in one
+    /// bulk advance, sequentially or through the sharded path) leave a
+    /// bounded slab, while completions stay in ascending-id order.
+    #[test]
+    fn flow_storage_is_bounded_by_the_live_window() {
+        let (g, links) = clusters(4);
+        for threshold in [usize::MAX, 0] {
+            let mut net = SimNet::new(&g);
+            net.set_shard_threshold(threshold);
+            let mut now = SimTime::ZERO;
+            for wave in 0..2_000u64 {
+                let first = net.start_flow(now, &fwd(&links[0][..1]), 1_000, wave);
+                for k in 1..10 {
+                    let c = &links[k % links.len()];
+                    net.start_flow(now, &fwd(&c[..1]), 1_000 * (k as u64 + 1), wave);
+                }
+                now += SimSpan::from_millis(1);
+                let done = net.advance_to(now);
+                assert_eq!(done.len(), 10, "every flow of the wave completes");
+                assert_eq!(done[0].0, first, "earliest finisher first");
+                assert!(net.flows.capacity_slots() <= 2 * (MIN_COMPACT + 10));
+            }
+            assert_eq!(net.active_flow_count(), 0);
+        }
     }
 
     #[test]

@@ -78,14 +78,14 @@ fn main() {
             load: 2,
             headroom_tokens: 40_000,
             capacity_tokens: 60_000,
-            dst_gpus: topo.gpus_by_server[0][2..].to_vec(), // NVLink-local
+            dst_gpus: &topo.gpus_by_server[0][2..], // NVLink-local
         },
         KvCandidate {
             instance: 1,
             load: 0,
             headroom_tokens: 60_000,
             capacity_tokens: 60_000,
-            dst_gpus: topo.gpus_by_server[1][..2].to_vec(), // across Ethernet
+            dst_gpus: &topo.gpus_by_server[1][..2], // across Ethernet
         },
     ];
     for (name, hot) in [("idle fabric", false), ("server-1 uplinks at 95 %", true)] {
