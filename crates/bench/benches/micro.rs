@@ -96,7 +96,7 @@ fn bench_simnet(c: &mut Criterion) {
             net.next_event_time(); // warm: initial global solve
             b.iter(|| {
                 let now = net.now();
-                let id = net.start_flow(now, &paths[0], 1_000_000, 0);
+                let id = net.start_flow(now, paths[0].clone(), 1_000_000, 0);
                 net.next_event_time();
                 net.cancel_flow(now, id);
                 net.next_event_time()
@@ -119,11 +119,11 @@ fn bench_simnet(c: &mut Criterion) {
                     net
                 },
                 |mut net| {
-                    let mut done = 0usize;
+                    let mut done = Vec::new();
                     while let Some(t) = net.next_event_time() {
-                        done += net.advance_to(t).len();
+                        net.advance_to(t, &mut done);
                     }
-                    done
+                    done.len()
                 },
                 BatchSize::SmallInput,
             )

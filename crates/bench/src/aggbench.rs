@@ -21,6 +21,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Which system's aggregation discipline to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,6 +146,8 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
         })
         .collect();
     let mut colls: FxHashMap<u64, (CollectiveExec, usize, Option<NodeId>)> = FxHashMap::default();
+    // Compiled plans by (group, scheme): a group's members never change.
+    let mut plans: FxHashMap<(usize, Scheme), Arc<CollectivePlan>> = FxHashMap::default();
     let mut next_coll: u64 = 0;
     let mut ina_active: FxHashMap<NodeId, usize> = FxHashMap::default();
     let mut ina_waiting: FxHashMap<NodeId, VecDeque<usize>> = FxHashMap::default();
@@ -187,6 +190,7 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
         events: &mut EventQueue<Ev>,
         groups: &mut [GroupState],
         colls: &mut FxHashMap<u64, (CollectiveExec, usize, Option<NodeId>)>,
+        plans: &mut FxHashMap<(usize, Scheme), Arc<CollectivePlan>>,
         next_coll: &mut u64,
         ina_active: &mut FxHashMap<NodeId, usize>,
         ina_waiting: &mut FxHashMap<NodeId, VecDeque<usize>>,
@@ -250,10 +254,20 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
                 (s, None)
             }
         };
-        let plan = CollectivePlan::compile(graph, ap, &groups[gi].members, scheme, cfg.msg_bytes);
+        let plan = plans
+            .entry((gi, scheme))
+            .or_insert_with(|| {
+                Arc::new(CollectivePlan::compile(
+                    graph,
+                    ap,
+                    &groups[gi].members,
+                    scheme,
+                ))
+            })
+            .clone();
         let id = *next_coll;
         *next_coll += 1;
-        let mut exec = CollectiveExec::new(plan, id);
+        let mut exec = CollectiveExec::new(plan, cfg.msg_bytes, id);
         match exec.start(net, now) {
             Progress::Done => {
                 // Degenerate (single-server NVLink-only with zero-hop
@@ -290,6 +304,7 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
             &mut events,
             &mut groups,
             &mut colls,
+            &mut plans,
             &mut next_coll,
             &mut ina_active,
             &mut ina_waiting,
@@ -301,6 +316,7 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
     }
 
     // Event loop.
+    let mut done = Vec::new();
     loop {
         let tq = events.peek_time();
         let tn = net.next_event_time();
@@ -314,9 +330,9 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
             break;
         }
         now = t;
-        let done = net.advance_to(t);
+        net.advance_to(t, &mut done);
         let mut finished_groups: Vec<usize> = Vec::new();
-        for (fid, flow) in done {
+        for (fid, flow) in done.drain(..) {
             let Some((exec, gi, _)) = colls.get_mut(&flow.tag) else {
                 continue; // background flow
             };
@@ -349,7 +365,7 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
                     let path = ap.path(a, b);
                     if !path.links.is_empty() {
                         let links = path.directed_links(graph);
-                        net.start_flow(now, &links, cfg.background_bytes, u64::MAX);
+                        net.start_flow(now, links.into(), cfg.background_bytes, u64::MAX);
                     }
                 }
                 Ev::CollTimer(id) => {
@@ -404,6 +420,7 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
                     &mut events,
                     &mut groups,
                     &mut colls,
+                    &mut plans,
                     &mut next_coll,
                     &mut ina_active,
                     &mut ina_waiting,

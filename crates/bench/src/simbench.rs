@@ -14,10 +14,11 @@ use hs_des::SimTime;
 use hs_simnet::{DirLink, SimNet};
 use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
 use hs_topology::Graph;
+use std::sync::Arc;
 
 /// Build `n_clusters` isolated GPU–switch–GPU clusters; returns the
 /// graph and one 2-hop directed path per cluster.
-pub fn clusters_topo(n_clusters: usize) -> (Graph, Vec<Vec<DirLink>>) {
+pub fn clusters_topo(n_clusters: usize) -> (Graph, Vec<Arc<[DirLink]>>) {
     let mut b = GraphBuilder::new();
     let mut paths = Vec::with_capacity(n_clusters);
     for k in 0..n_clusters {
@@ -26,18 +27,18 @@ pub fn clusters_topo(n_clusters: usize) -> (Graph, Vec<Vec<DirLink>>) {
         let s = b.add_access_switch(false, "s");
         let l0 = b.add_link(g0, s, LinkKind::Ethernet, bandwidth::ETH_100G, 1_000);
         let l1 = b.add_link(s, g1, LinkKind::Ethernet, bandwidth::ETH_100G, 1_000);
-        paths.push(vec![(l0, true), (l1, true)]);
+        paths.push(Arc::from([(l0, true), (l1, true)]));
     }
     (b.build(), paths)
 }
 
 /// Start `per_cluster` flows over every cluster path, sizes staggered so
 /// completions spread over time instead of piling on one timestamp.
-pub fn fill(net: &mut SimNet, paths: &[Vec<DirLink>], per_cluster: usize, bytes: u64) {
+pub fn fill(net: &mut SimNet, paths: &[Arc<[DirLink]>], per_cluster: usize, bytes: u64) {
     for (k, p) in paths.iter().enumerate() {
         for j in 0..per_cluster {
             let sz = bytes + (j as u64) * (bytes / 7 + 1);
-            net.start_flow(SimTime::ZERO, p, sz, (k * per_cluster + j) as u64);
+            net.start_flow(SimTime::ZERO, p.clone(), sz, (k * per_cluster + j) as u64);
         }
     }
 }
@@ -79,7 +80,7 @@ impl ThroughputRun {
 /// blow-up this engine removes — a cap keeps its measurement finite).
 pub fn pull_loop_throughput(
     g: &Graph,
-    paths: &[Vec<DirLink>],
+    paths: &[Arc<[DirLink]>],
     per_cluster: usize,
     bytes: u64,
     full_resolve: bool,
@@ -90,6 +91,7 @@ pub fn pull_loop_throughput(
     net.set_full_resolve(full_resolve);
     fill(&mut net, paths, per_cluster, bytes);
     let mut events = (paths.len() * per_cluster) as u64;
+    let mut done = Vec::new();
     while events < max_events {
         let Some(t) = net.next_event_time() else {
             break;
@@ -97,7 +99,9 @@ pub fn pull_loop_throughput(
         if t == SimTime::MAX {
             break;
         }
-        events += net.advance_to(t).len() as u64;
+        net.advance_to(t, &mut done);
+        events += done.len() as u64;
+        done.clear();
     }
     ThroughputRun::finish(
         events,
@@ -113,7 +117,7 @@ pub fn pull_loop_throughput(
 /// `usize::MAX` measures the sequential pop loop over the same batch.
 pub fn bulk_advance_throughput(
     g: &Graph,
-    paths: &[Vec<DirLink>],
+    paths: &[Arc<[DirLink]>],
     per_cluster: usize,
     bytes: u64,
     shard_threshold: usize,
@@ -123,7 +127,9 @@ pub fn bulk_advance_throughput(
     net.set_shard_threshold(shard_threshold);
     fill(&mut net, paths, per_cluster, bytes);
     let mut events = (paths.len() * per_cluster) as u64;
-    events += net.advance_to(SimTime::from_secs(86_400)).len() as u64;
+    let mut done = Vec::new();
+    net.advance_to(SimTime::from_secs(86_400), &mut done);
+    events += done.len() as u64;
     ThroughputRun::finish(
         events,
         start.elapsed().as_secs_f64(),

@@ -29,6 +29,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Tag-space partition for flow demultiplexing.
 const TAG_KIND_SHIFT: u64 = 60;
@@ -105,14 +106,25 @@ enum Ev {
 #[derive(Clone)]
 enum CollOrigin {
     /// A tensor-group all-reduce: the strategy re-chooses the scheme on
-    /// retry (so it can route around a failed switch).
-    Group {
-        group_id: u64,
-        group: Vec<NodeId>,
+    /// retry (so it can route around a failed switch). The group is
+    /// `group_of(group_id)`.
+    Group { group_id: u64, bytes: u64 },
+    /// Pipeline-stage boundary transfers of `bytes` each, `(from, to)` per
+    /// hop: paths are re-chosen on retry.
+    PipeHops {
+        hops: Vec<(NodeId, NodeId)>,
         bytes: u64,
     },
-    /// Pipeline-stage boundary transfers: paths are re-chosen on retry.
-    PipeHops { hops: Vec<(NodeId, NodeId, u64)> },
+}
+
+impl CollOrigin {
+    /// The collective's synchronization volume: every transfer of its
+    /// plan moves a share of it (see `Phase::bytes`).
+    fn bytes(&self) -> u64 {
+        match self {
+            CollOrigin::Group { bytes, .. } | CollOrigin::PipeHops { bytes, .. } => *bytes,
+        }
+    }
 }
 
 struct CollState {
@@ -127,7 +139,7 @@ struct CollState {
 
 struct WaitingColl {
     inst: usize,
-    plan: CollectivePlan,
+    plan: Arc<CollectivePlan>,
     switch: NodeId,
     origin: CollOrigin,
 }
@@ -167,6 +179,12 @@ struct KvFlight {
 /// Capped exponential backoff before relaunching aborted work.
 fn retry_delay(attempt: u32) -> SimSpan {
     SimSpan::from_millis((10u64 << attempt.min(6)).min(500))
+}
+
+/// The tensor group named by `group_id`: stage `group_id & 0xff` of
+/// instance `group_id >> 8` (the id `start_comm` hands out).
+fn group_of(instances: &[Instance], group_id: u64) -> &[NodeId] {
+    &instances[(group_id >> 8) as usize].spec.stages[(group_id & 0xff) as usize]
 }
 
 /// Trace-event name for a collective, derived from what it was compiled
@@ -250,6 +268,11 @@ pub struct ClusterSim {
     kv: Vec<KvManager>,
     mem_model: MemoryModel,
     colls: FxHashMap<u64, CollState>,
+    /// Compiled tensor-group plans by `(group_id, scheme)`, filled on
+    /// first use. Sound because an instance's stages are fixed at
+    /// construction, so a `group_id` always names the same group, and a
+    /// plan does not depend on the synchronization volume.
+    plans: FxHashMap<(u64, Scheme), Arc<CollectivePlan>>,
     next_coll: u64,
     ina_active: FxHashMap<NodeId, usize>,
     ina_waiting: FxHashMap<NodeId, VecDeque<WaitingColl>>,
@@ -400,6 +423,7 @@ impl ClusterSim {
             kv,
             mem_model,
             colls: FxHashMap::default(),
+            plans: FxHashMap::default(),
             next_coll: 0,
             ina_active: FxHashMap::default(),
             ina_waiting: FxHashMap::default(),
@@ -490,6 +514,8 @@ impl ClusterSim {
     /// its completion still arrives here and is demuxed to an already
     /// dissolved collective, which `on_flow_done` ignores by design.
     pub fn run(&mut self, horizon: SimTime) -> SimReport {
+        // Completions drain through one buffer for the whole run.
+        let mut done = Vec::new();
         loop {
             let next_arrival = self.arrival_order.get(self.next_arrival).copied();
             let ta = next_arrival.map(|i| self.reqs[i as usize].req.arrival);
@@ -505,8 +531,8 @@ impl ClusterSim {
             }
             self.now = t;
             // Network completions first (deterministic: completion order).
-            let done = self.net.advance_to(t);
-            for (id, flow) in done {
+            self.net.advance_to(t, &mut done);
+            for (id, flow) in done.drain(..) {
                 self.on_flow_done(id, flow.tag);
             }
             if let Some(idx) = next_arrival.filter(|_| ta == Some(t)) {
@@ -518,7 +544,7 @@ impl ClusterSim {
             }
         }
         self.now = horizon;
-        self.net.advance_to(horizon);
+        self.net.advance_to(horizon, &mut done);
         self.build_report(horizon)
     }
 
@@ -549,7 +575,7 @@ impl ClusterSim {
                     return;
                 };
                 if !links.is_empty() {
-                    self.net.start_flow(self.now, &links, bytes, 0);
+                    self.net.start_flow(self.now, links.into(), bytes, 0);
                 }
             }
             Ev::MonitorTick => {
@@ -739,38 +765,29 @@ impl ClusterSim {
 
     fn relaunch_collective(&mut self, p: PendingRetry) {
         let retry = Some((p.attempt + 1, p.aborted_at));
-        let counted = match &p.origin {
-            CollOrigin::Group {
-                group_id,
-                group,
-                bytes,
-            } => {
-                let (group_id, group, bytes) = (*group_id, group.clone(), *bytes);
+        let counted = match p.origin {
+            CollOrigin::Group { group_id, bytes } => {
                 let ctx = CommCtx {
                     group_id,
-                    group: &group,
+                    group: group_of(&self.instances, group_id),
                     bytes,
                     now: self.now,
                     link_util: &self.util_snapshot,
                 };
                 let scheme = self.strategy.choose(&ctx);
-                self.launch_collective_inner(p.inst, group_id, &group, scheme, bytes, retry)
+                self.launch_collective_inner(p.inst, group_id, scheme, bytes, retry)
             }
-            CollOrigin::PipeHops { hops } => {
-                let hops = hops.clone();
-                let plan = self.compile_pipe_plan(&hops);
-                match plan {
-                    Some(plan) => self.launch_plan(
-                        p.inst,
-                        plan,
-                        None,
-                        CollOrigin::PipeHops { hops },
-                        retry,
-                        None,
-                    ),
-                    None => false,
-                }
-            }
+            CollOrigin::PipeHops { hops, bytes } => match self.compile_pipe_plan(&hops, bytes) {
+                Some(plan) => self.launch_plan(
+                    p.inst,
+                    plan,
+                    None,
+                    CollOrigin::PipeHops { hops, bytes },
+                    retry,
+                    None,
+                ),
+                None => false,
+            },
         };
         if !counted {
             // The relaunch completed instantly (degenerate plan): close
@@ -813,7 +830,7 @@ impl ClusterSim {
             }
             live.push(
                 self.net
-                    .start_flow(self.now, &links, st.bytes, TAG_KV | req),
+                    .start_flow(self.now, links.into(), st.bytes, TAG_KV | req),
             );
         }
         self.kv_stripes_launched += live.len() as u64;
@@ -1104,17 +1121,16 @@ impl ClusterSim {
             if stage.len() < 2 || stage_bytes == 0 {
                 continue;
             }
-            let group = stage.clone();
             let group_id = (inst as u64) << 8 | sidx as u64;
             let ctx = CommCtx {
                 group_id,
-                group: &group,
+                group: stage,
                 bytes: stage_bytes,
                 now: self.now,
                 link_util: &self.util_snapshot,
             };
             let scheme = self.strategy.choose(&ctx);
-            if self.launch_collective_inner(inst, group_id, &group, scheme, stage_bytes, None) {
+            if self.launch_collective_inner(inst, group_id, scheme, stage_bytes, None) {
                 outstanding += 1;
             }
         }
@@ -1124,14 +1140,18 @@ impl ClusterSim {
         if pp > 1 && tokens > 0 {
             let hop_bytes =
                 tokens * self.cfg.model.hidden as u64 * self.cfg.model.precision.bytes();
-            let hops: Vec<(NodeId, NodeId, u64)> = self.instances[inst]
+            let hops: Vec<(NodeId, NodeId)> = self.instances[inst]
                 .spec
                 .stages
                 .windows(2)
-                .map(|w| (w[0][0], w[1][0], hop_bytes))
+                .map(|w| (w[0][0], w[1][0]))
                 .collect();
-            if let Some(plan) = self.compile_pipe_plan(&hops) {
-                if self.launch_plan(inst, plan, None, CollOrigin::PipeHops { hops }, None, None) {
+            if let Some(plan) = self.compile_pipe_plan(&hops, hop_bytes) {
+                let origin = CollOrigin::PipeHops {
+                    hops,
+                    bytes: hop_bytes,
+                };
+                if self.launch_plan(inst, plan, None, origin, None, None) {
                     outstanding += 1;
                 }
             }
@@ -1144,28 +1164,49 @@ impl ClusterSim {
         }
     }
 
-    /// Build the pipeline-hop plan, re-choosing each hop's route (the
-    /// strategy may steer around faults/hotspots; the static fallback is
-    /// the precomputed shortest path).
-    fn compile_pipe_plan(&mut self, hops: &[(NodeId, NodeId, u64)]) -> Option<CollectivePlan> {
+    /// Build the pipeline-hop plan, one `hop_bytes` transfer per phase,
+    /// re-choosing each hop's route (the strategy may steer around
+    /// faults/hotspots; the static fallback is the precomputed shortest
+    /// path). Not cached: the routes can change every iteration.
+    fn compile_pipe_plan(
+        &mut self,
+        hops: &[(NodeId, NodeId)],
+        hop_bytes: u64,
+    ) -> Option<Arc<CollectivePlan>> {
         let mut phases = Vec::new();
-        for &(from, to, hop_bytes) in hops {
+        for &(from, to) in hops {
             let links = self
                 .strategy
                 .choose_path(from, to, hop_bytes, &self.util_snapshot)
                 .unwrap_or_else(|| self.ap.path(from, to).directed_links(&self.g));
             if !links.is_empty() {
-                phases.push(Phase {
-                    transfers: vec![(links, hop_bytes)],
-                    post_delay: SimSpan::ZERO,
-                });
+                let mut phase = Phase::new(1, SimSpan::ZERO);
+                phase.transfers.push(links.into());
+                phases.push(phase);
             }
         }
         if phases.is_empty() {
             None
         } else {
-            Some(CollectivePlan { phases })
+            Some(Arc::new(CollectivePlan { phases }))
         }
+    }
+
+    /// The cached plan of `scheme` for tensor group `group_id`, compiled
+    /// on first use.
+    fn group_plan(&mut self, group_id: u64, scheme: Scheme) -> Arc<CollectivePlan> {
+        let (g, ap, instances) = (&self.g, &self.ap, &self.instances);
+        self.plans
+            .entry((group_id, scheme))
+            .or_insert_with(|| {
+                Arc::new(CollectivePlan::compile(
+                    g,
+                    ap,
+                    group_of(instances, group_id),
+                    scheme,
+                ))
+            })
+            .clone()
     }
 
     /// Launch one tensor-group collective. Returns whether it counts as
@@ -1175,16 +1216,12 @@ impl ClusterSim {
         &mut self,
         inst: usize,
         group_id: u64,
-        group: &[NodeId],
         scheme: Scheme,
         bytes: u64,
         retry: Option<(u32, SimTime)>,
     ) -> bool {
-        let origin = CollOrigin::Group {
-            group_id,
-            group: group.to_vec(),
-            bytes,
-        };
+        let origin = CollOrigin::Group { group_id, bytes };
+        let group = group_of(&self.instances, group_id);
         // A hierarchical-INA scheme whose group fits in one server never
         // reaches the switch — it degenerates to NVLink reduce/broadcast
         // and must not consume switch aggregation capacity.
@@ -1231,8 +1268,7 @@ impl ClusterSim {
                         BusyPolicy::Wait => {
                             // Queue the compiled plan until the switch
                             // frees capacity.
-                            let plan =
-                                CollectivePlan::compile(&self.g, &self.ap, group, scheme, bytes);
+                            let plan = self.group_plan(group_id, scheme);
                             self.ina_ops += 1;
                             self.ina_waiting
                                 .entry(switch)
@@ -1257,7 +1293,7 @@ impl ClusterSim {
                 (other, None)
             }
         };
-        let plan = CollectivePlan::compile(&self.g, &self.ap, group, scheme, bytes);
+        let plan = self.group_plan(group_id, scheme);
         self.launch_plan(inst, plan, ina_switch, origin, retry, Some(scheme.label()))
     }
 
@@ -1268,7 +1304,7 @@ impl ClusterSim {
     fn launch_plan(
         &mut self,
         inst: usize,
-        plan: CollectivePlan,
+        plan: Arc<CollectivePlan>,
         ina_switch: Option<NodeId>,
         origin: CollOrigin,
         retry: Option<(u32, SimTime)>,
@@ -1281,7 +1317,7 @@ impl ClusterSim {
             let avoids_dead = plan.phases.iter().all(|ph| {
                 ph.transfers
                     .iter()
-                    .all(|(path, _)| path.iter().all(|&(l, _)| self.net.link_scale(l) > 0.0))
+                    .all(|path| path.iter().all(|&(l, _)| self.net.link_scale(l) > 0.0))
             });
             if avoids_dead {
                 let delay = self.now.saturating_since(aborted_at).as_secs_f64();
@@ -1291,12 +1327,8 @@ impl ClusterSim {
         }
         if self.tracer.is_enabled() {
             let (group, bytes) = match &origin {
-                CollOrigin::Group {
-                    group_id, bytes, ..
-                } => (*group_id, *bytes),
-                CollOrigin::PipeHops { hops } => {
-                    (inst as u64, hops.iter().map(|&(_, _, b)| b).sum())
-                }
+                CollOrigin::Group { group_id, bytes } => (*group_id, *bytes),
+                CollOrigin::PipeHops { hops, bytes } => (inst as u64, bytes * hops.len() as u64),
             };
             self.tracer
                 .collective_begin(self.now, coll, group, coll_kind(&origin), scheme, bytes);
@@ -1307,7 +1339,7 @@ impl ClusterSim {
             }
         }
         self.metrics.inc(self.obs.colls, 1);
-        let mut exec = CollectiveExec::new(plan, TAG_COLL | coll);
+        let mut exec = CollectiveExec::new(plan, origin.bytes(), TAG_COLL | coll);
         let progress = exec.start(&mut self.net, self.now);
         match progress {
             Progress::Done => {
@@ -1606,7 +1638,7 @@ impl ClusterSim {
             }
             live.push(
                 self.net
-                    .start_flow(self.now, &links, st.bytes, TAG_KV | id.0),
+                    .start_flow(self.now, links.into(), st.bytes, TAG_KV | id.0),
             );
         }
         self.kv_transfers += 1;

@@ -39,11 +39,7 @@ fn plan_links(plan: &CollectivePlan) -> Vec<LinkId> {
     let mut links: Vec<LinkId> = plan
         .phases
         .iter()
-        .flat_map(|p| {
-            p.transfers
-                .iter()
-                .flat_map(|(ls, _)| ls.iter().map(|&(l, _)| l))
-        })
+        .flat_map(|p| p.transfers.iter().flat_map(|ls| ls.iter().map(|&(l, _)| l)))
         .collect();
     links.sort_unstable();
     links.dedup();
@@ -74,7 +70,7 @@ pub fn build_policies(
                 hierarchical_ina_latency(g, group, switch, ap, PROBE, None)
             }
         };
-        let plan = CollectivePlan::compile(g, ap, group, scheme, PROBE);
+        let plan = CollectivePlan::compile(g, ap, group, scheme);
         if plan.phases.is_empty() {
             return;
         }
@@ -87,8 +83,9 @@ pub fn build_policies(
         let mut per_dir: std::collections::BTreeMap<(LinkId, bool), u64> =
             std::collections::BTreeMap::new();
         for phase in &plan.phases {
-            for (ls, bytes) in &phase.transfers {
-                for &d in ls {
+            let bytes = phase.bytes(PROBE);
+            for ls in &phase.transfers {
+                for &d in ls.iter() {
                     *per_dir.entry(d).or_insert(0) += bytes;
                 }
             }

@@ -2,6 +2,7 @@
 use hs_des::SimTime;
 use hs_simnet::SimNet;
 use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
+use std::sync::Arc;
 
 fn main() {
     let n_flows: usize = std::env::args()
@@ -25,7 +26,7 @@ fn main() {
         let s = b.add_access_switch(false, "s");
         let l0 = b.add_link(g0, s, LinkKind::Ethernet, bandwidth::ETH_100G, 1_000);
         let l1 = b.add_link(s, g1, LinkKind::Ethernet, bandwidth::ETH_100G, 1_000);
-        paths.push(vec![(l0, true), (l1, true)]);
+        paths.push(Arc::<[_]>::from([(l0, true), (l1, true)]));
     }
     let g = b.build();
     for _ in 0..iters {
@@ -36,7 +37,7 @@ fn main() {
         for (k, p) in paths.iter().enumerate() {
             for j in 0..4usize {
                 let sz = 1_000_000 + (j as u64) * (1_000_000 / 7 + 1);
-                net.start_flow(SimTime::ZERO, p, sz, (k * 4 + j) as u64);
+                net.start_flow(SimTime::ZERO, p.clone(), sz, (k * 4 + j) as u64);
             }
         }
         let t_fill = t0.elapsed();
@@ -44,6 +45,7 @@ fn main() {
         let mut t_adv = std::time::Duration::ZERO;
         let mut events = 0u64;
         let mut calls = 0u64;
+        let mut done = Vec::new();
         loop {
             let s = std::time::Instant::now();
             let Some(t) = net.next_event_time() else {
@@ -54,7 +56,9 @@ fn main() {
                 break;
             }
             let s = std::time::Instant::now();
-            events += net.advance_to(t).len() as u64;
+            net.advance_to(t, &mut done);
+            events += done.len() as u64;
+            done.clear();
             t_adv += s.elapsed();
             calls += 1;
         }

@@ -40,30 +40,29 @@ impl LinkMonitor {
     }
 
     /// Poll the network's counters at time `now` and fold the window's
-    /// average utilization into the EWMA. Returns the raw window samples.
+    /// average utilization into the EWMA (read it back with
+    /// [`snapshot`](Self::snapshot); with `alpha = 1` that is the raw
+    /// window sample).
     ///
     /// Polling with a zero-length window leaves the estimate unchanged.
-    pub fn poll(&mut self, net: &SimNet, now: SimTime) -> Vec<f64> {
+    pub fn poll(&mut self, net: &SimNet, now: SimTime) {
         let dt = now.saturating_since(self.last_poll).as_secs_f64();
         let caps = net.capacities();
-        let mut samples = vec![0.0; self.ewma.len()];
         if dt <= 0.0 {
-            return samples;
+            return;
         }
-        for (i, sample) in samples.iter_mut().enumerate() {
+        for (i, (ewma, &cap)) in self.ewma.iter_mut().zip(caps).enumerate() {
             let mut util = 0.0f64;
             for dir in [false, true] {
                 let bytes = net.cumulative_bytes_dir(LinkId(i as u32), dir);
                 let idx = i * 2 + dir as usize;
                 let delta = (bytes - self.last_bytes[idx]).max(0.0);
-                util = util.max(((delta * 8.0 / dt) / caps[i]).clamp(0.0, 1.0));
+                util = util.max(((delta * 8.0 / dt) / cap).clamp(0.0, 1.0));
                 self.last_bytes[idx] = bytes;
             }
-            *sample = util;
-            self.ewma[i] = (1.0 - self.alpha) * self.ewma[i] + self.alpha * util;
+            *ewma = (1.0 - self.alpha) * *ewma + self.alpha * util;
         }
         self.last_poll = now;
-        samples
     }
 
     /// Smoothed utilization estimate for one link.
@@ -95,6 +94,7 @@ impl LinkMonitor {
 mod tests {
     use super::*;
     use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
+    use std::sync::Arc;
 
     fn one_link() -> (hs_topology::Graph, LinkId) {
         let mut b = GraphBuilder::new();
@@ -110,11 +110,13 @@ mod tests {
         let mut net = SimNet::new(&g);
         let mut mon = LinkMonitor::new(g.link_count(), 1.0);
         // Saturate the link for 1 ms: 100 Gbps = 12.5 MB per ms.
-        net.start_flow(SimTime::ZERO, &[(l, true)], 12_500_000, 0);
-        net.advance_to(SimTime::from_millis(1));
-        let s = mon.poll(&net, SimTime::from_millis(1));
-        assert!((s[l.idx()] - 1.0).abs() < 0.01, "sample {}", s[l.idx()]);
-        assert!((mon.utilization(l) - 1.0).abs() < 0.01);
+        net.start_flow(SimTime::ZERO, Arc::from([(l, true)]), 12_500_000, 0);
+        net.advance_to(SimTime::from_millis(1), &mut Vec::new());
+        // Unsmoothed (alpha = 1): the estimate is the window's sample.
+        mon.poll(&net, SimTime::from_millis(1));
+        let u = mon.snapshot()[l.idx()];
+        assert!((u - 1.0).abs() < 0.01, "sample {u}");
+        assert_eq!(mon.utilization(l), u);
     }
 
     #[test]
@@ -132,12 +134,12 @@ mod tests {
         let mut net = SimNet::new(&g);
         let mut mon = LinkMonitor::new(g.link_count(), 0.5);
         // Busy first window.
-        net.start_flow(SimTime::ZERO, &[(l, true)], 12_500_000, 0);
-        net.advance_to(SimTime::from_millis(1));
+        net.start_flow(SimTime::ZERO, Arc::from([(l, true)]), 12_500_000, 0);
+        net.advance_to(SimTime::from_millis(1), &mut Vec::new());
         mon.poll(&net, SimTime::from_millis(1));
         assert!((mon.utilization(l) - 0.5).abs() < 0.01);
         // Idle second window decays toward zero.
-        net.advance_to(SimTime::from_millis(2));
+        net.advance_to(SimTime::from_millis(2), &mut Vec::new());
         mon.poll(&net, SimTime::from_millis(2));
         assert!((mon.utilization(l) - 0.25).abs() < 0.01);
     }
@@ -157,8 +159,8 @@ mod tests {
         let (g, l) = one_link();
         let mut net = SimNet::new(&g);
         let mut mon = LinkMonitor::new(g.link_count(), 1.0);
-        net.start_flow(SimTime::ZERO, &[(l, true)], 6_250_000, 0); // half a window
-        net.advance_to(SimTime::from_millis(1));
+        net.start_flow(SimTime::ZERO, Arc::from([(l, true)]), 6_250_000, 0); // half a window
+        net.advance_to(SimTime::from_millis(1), &mut Vec::new());
         mon.poll(&net, SimTime::from_millis(1));
         let res = mon.residual(net.capacities());
         assert!((res[l.idx()] - 0.5 * bandwidth::ETH_100G).abs() < 1e9);

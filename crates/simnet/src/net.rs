@@ -55,6 +55,7 @@ use hs_topology::{Graph, LinkId};
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// One directed hop: the link and whether it is traversed `a -> b`
 /// (links are full duplex; each direction is its own capacity pool).
@@ -73,8 +74,10 @@ pub struct FlowId(pub u64);
 /// An active transfer.
 #[derive(Clone, Debug)]
 pub struct Flow {
-    /// Directed hops the flow traverses (loopless).
-    pub path: Vec<DirLink>,
+    /// Directed hops the flow traverses (loopless). Shared, not copied:
+    /// every flow started over the same route holds the same allocation
+    /// (a compiled collective plan starts its routes this way).
+    pub path: Arc<[DirLink]>,
     /// Bytes still to serialize *as of the last materialization point*
     /// (rate change, cancel, or completion). For the live value at the
     /// current clock use [`SimNet::flow_remaining`]; flows returned by
@@ -159,7 +162,7 @@ pub(crate) fn materialize<M: Fn(DirLink) -> usize>(
         if f.remaining_bytes < 1e-6 {
             f.remaining_bytes = 0.0;
         }
-        for &d in &f.path {
+        for &d in f.path.iter() {
             cum[to_slot(d)] += consumed;
         }
         if f.remaining_bytes <= 0.0 && f.finish_at != f.earliest_finish {
@@ -420,8 +423,16 @@ impl SimNet {
     }
 
     /// Start a unit-weight flow of `bytes` over the directed `path` at
-    /// time `now`.
-    pub fn start_flow(&mut self, now: SimTime, path: &[DirLink], bytes: u64, tag: u64) -> FlowId {
+    /// time `now`. The flow keeps `path` itself (a reference count, not a
+    /// copy), so a caller that starts many flows over one route builds the
+    /// `Arc` once and clones it.
+    pub fn start_flow(
+        &mut self,
+        now: SimTime,
+        path: Arc<[DirLink]>,
+        bytes: u64,
+        tag: u64,
+    ) -> FlowId {
         self.start_weighted_flow(now, path, bytes, 1.0, tag)
     }
 
@@ -430,7 +441,7 @@ impl SimNet {
     pub fn start_weighted_flow(
         &mut self,
         now: SimTime,
-        path: &[DirLink],
+        path: Arc<[DirLink]>,
         bytes: u64,
         weight: f64,
         tag: u64,
@@ -444,8 +455,13 @@ impl SimNet {
             .map(|&(l, _)| self.link_latency_ns[l.idx()])
             .sum();
         let prop = SimSpan::from_nanos(prop_ns);
+        let hops = path.len();
+        for &d in path.iter() {
+            self.incidence[slot(d)].push(id);
+        }
+        self.mark_dirty_path(&path);
         let mut f = Flow {
-            path: path.to_vec(),
+            path,
             remaining_bytes: bytes as f64,
             size_bytes: bytes,
             rate_bps: 0.0,
@@ -459,25 +475,19 @@ impl SimNet {
             epoch: 0,
             seen: 0,
         };
-        if path.is_empty() {
+        if hops == 0 {
             // Local copy: unconstrained, delivered after propagation only.
             f.rate_bps = f64::INFINITY;
         }
-        if path.is_empty() || f.remaining_bytes <= 0.0 {
+        if hops == 0 || f.remaining_bytes <= 0.0 {
             // Nothing to serialize (or nothing constraining it): the
             // completion estimate is final right now.
             f.finish_at = f.earliest_finish;
             f.epoch += 1;
             self.heap.push(Reverse((f.finish_at, id, f.epoch)));
         }
-        if !path.is_empty() {
-            for &d in path {
-                self.incidence[slot(d)].push(id);
-            }
-            self.mark_dirty_path(path);
-        }
         self.flows.put(id, f);
-        self.tracer.flow_start(now, id.0, tag, bytes, path.len());
+        self.tracer.flow_start(now, id.0, tag, bytes, hops);
         id
     }
 
@@ -555,8 +565,10 @@ impl SimNet {
         }
     }
 
-    /// Advance the clock to `now` and return the flows that completed
-    /// (in completion-then-id order).
+    /// Advance the clock to `now` and append the flows that completed to
+    /// `done` (in completion-then-id order). `done` is the caller's: it is
+    /// not cleared, so a driver that drains it after each call reuses one
+    /// buffer for the whole run.
     ///
     /// Small batches run the sequential loop: pop the earliest valid heap
     /// entry, materialize and remove the flow, re-solve its component
@@ -564,14 +576,14 @@ impl SimNet {
     /// the same window), repeat. Batches above the shard threshold are
     /// dispatched per connected component to rayon workers and merged
     /// deterministically — bit-identical to the sequential loop.
-    pub fn advance_to(&mut self, now: SimTime) -> Vec<(FlowId, Flow)> {
+    pub fn advance_to(&mut self, now: SimTime, done: &mut Vec<(FlowId, Flow)>) {
         assert!(now >= self.clock, "SimNet clock must be monotone");
-        if !self.full_resolve && self.shard_threshold != usize::MAX {
-            if let Some(done) = self.advance_sharded(now) {
-                return done;
-            }
+        if !self.full_resolve
+            && self.shard_threshold != usize::MAX
+            && self.advance_sharded(now, done)
+        {
+            return;
         }
-        let mut done = Vec::new();
         loop {
             self.solve_if_dirty();
             let Some((t, id)) = self.peek_valid() else {
@@ -594,7 +606,6 @@ impl SimNet {
             done.push((id, f));
         }
         self.progress_to(now);
-        done
     }
 
     /// Fair-share utilization of a link in `[0, 1]`: the busier
@@ -842,7 +853,7 @@ impl SimNet {
                 .expect("solved flow is still present");
             let rate = rates[i];
             if rate.is_finite() {
-                for &d in &f.path {
+                for &d in f.path.iter() {
                     self.link_rate[slot(d)] += rate;
                 }
             }
@@ -896,7 +907,7 @@ impl SimNet {
                     }
                     f.seen = gen;
                     scratch.ids.push(fid);
-                    for &d in &f.path {
+                    for &d in f.path.iter() {
                         let sl = slot(d);
                         if scratch.link_stamp[sl] != gen {
                             scratch.link_stamp[sl] = gen;
@@ -904,6 +915,18 @@ impl SimNet {
                         }
                     }
                 }
+            }
+            if scratch.ids.is_empty() {
+                // The last flow on these slots just left: nothing to rate,
+                // only their allocated rate drops to zero. Counted as an
+                // aggregate solve, since the one-round tier settles an
+                // empty system trivially: the work counters must not
+                // depend on this shortcut.
+                for &s in &scratch.comp_links {
+                    self.link_rate[s] = 0.0;
+                }
+                self.stats.aggregate_solves += 1;
+                continue;
             }
             // Ascending-id order so per-link weight sums accumulate in
             // exactly the order a full solve would use (float addition
@@ -943,7 +966,7 @@ impl SimNet {
                     .expect("solved flow is still present");
                 let rate = rates[i];
                 if rate.is_finite() {
-                    for &d in &f.path {
+                    for &d in f.path.iter() {
                         self.link_rate[slot(d)] += rate;
                     }
                 }
@@ -971,10 +994,11 @@ impl SimNet {
     // Sharded bulk advance (DESIGN.md §12)
     // ------------------------------------------------------------------
 
-    /// Sharded bulk advance: returns `None` when the number of due
+    /// Sharded bulk advance: appends the batch to `done` and returns
+    /// `true`, or returns `false` untouched when the number of due
     /// completions is at or below the shard threshold (caller falls back
     /// to the sequential loop).
-    fn advance_sharded(&mut self, now: SimTime) -> Option<Vec<(FlowId, Flow)>> {
+    fn advance_sharded(&mut self, now: SimTime, done: &mut Vec<(FlowId, Flow)>) -> bool {
         self.solve_if_dirty();
         // Collect every valid completion entry due in (clock, now]. Each
         // live flow has at most one valid entry, so `pending` has unique
@@ -1000,7 +1024,7 @@ impl SimNet {
             for &(t, id, ep) in &pending {
                 self.heap.push(Reverse((t, id, ep)));
             }
-            return None;
+            return false;
         }
         self.stats.sharded_batches += 1;
 
@@ -1072,7 +1096,7 @@ impl SimNet {
             .enumerate()
             .filter_map(|(li, h)| h.as_ref().map(|&(t, id, _)| Reverse((t, id, li))))
             .collect();
-        let mut done = Vec::with_capacity(total);
+        done.reserve(total);
         while let Some(Reverse((_, _, li))) = merge.pop() {
             let (_, id, f) = heads[li].take().expect("merge head present");
             heads[li] = iters[li].next();
@@ -1086,7 +1110,7 @@ impl SimNet {
         // Flows completed in shards were taken, never put back.
         self.flows.compact();
         debug_assert!(!self.dirty, "shards leave rates clean");
-        Some(done)
+        true
     }
 
     /// BFS the connected component containing `root` into `comp_flows` /
@@ -1106,7 +1130,7 @@ impl SimNet {
             let f = self.flows.get_mut(root).expect("pending flow is live");
             f.seen = gen;
             comp_flows.push(root);
-            for &d in &f.path {
+            for &d in f.path.iter() {
                 let sl = slot(d);
                 if scratch.link_stamp[sl] != gen {
                     scratch.link_stamp[sl] = gen;
@@ -1126,7 +1150,7 @@ impl SimNet {
                 }
                 f.seen = gen;
                 comp_flows.push(fid);
-                for &d in &f.path {
+                for &d in f.path.iter() {
                     let sl = slot(d);
                     if scratch.link_stamp[sl] != gen {
                         scratch.link_stamp[sl] = gen;
@@ -1173,8 +1197,15 @@ mod tests {
     };
 
     /// Direct all hops "forward" (capacity is symmetric in these tests).
-    fn fwd(links: &[LinkId]) -> Vec<DirLink> {
+    fn fwd(links: &[LinkId]) -> Arc<[DirLink]> {
         links.iter().map(|&l| (l, true)).collect()
+    }
+
+    /// Advance to `t` and return the completions.
+    fn advance(net: &mut SimNet, t: SimTime) -> Vec<(FlowId, Flow)> {
+        let mut done = Vec::new();
+        net.advance_to(t, &mut done);
+        done
     }
 
     /// Two GPUs joined by one 100 G Ethernet link via a switch.
@@ -1209,11 +1240,11 @@ mod tests {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
         // 1 MB over 100 Gbps, 2 hops of 1 us propagation: 80 us + 2 us.
-        let id = net.start_flow(SimTime::ZERO, &fwd(&links), 1_000_000, 7);
+        let id = net.start_flow(SimTime::ZERO, fwd(&links), 1_000_000, 7);
         let t = net.next_event_time().unwrap();
         let us = t.as_micros_f64();
         assert!((us - 82.0).abs() < 0.5, "finish at {us} us");
-        let done = net.advance_to(t);
+        let done = advance(&mut net, t);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, id);
         assert_eq!(done[0].1.tag, 7);
@@ -1232,13 +1263,13 @@ mod tests {
             net.set_shard_threshold(threshold);
             let mut now = SimTime::ZERO;
             for wave in 0..2_000u64 {
-                let first = net.start_flow(now, &fwd(&links[0][..1]), 1_000, wave);
+                let first = net.start_flow(now, fwd(&links[0][..1]), 1_000, wave);
                 for k in 1..10 {
                     let c = &links[k % links.len()];
-                    net.start_flow(now, &fwd(&c[..1]), 1_000 * (k as u64 + 1), wave);
+                    net.start_flow(now, fwd(&c[..1]), 1_000 * (k as u64 + 1), wave);
                 }
                 now += SimSpan::from_millis(1);
-                let done = net.advance_to(now);
+                let done = advance(&mut net, now);
                 assert_eq!(done.len(), 10, "every flow of the wave completes");
                 assert_eq!(done[0].0, first, "earliest finisher first");
                 assert!(net.flows.capacity_slots() <= 2 * (MIN_COMPACT + 10));
@@ -1252,12 +1283,12 @@ mod tests {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
         // Both flows cross link l0 only (g0->switch), 1 MB each.
-        let a = net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 0);
-        let _b = net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 2_000_000, 1);
+        let a = net.start_flow(SimTime::ZERO, fwd(&links[..1]), 1_000_000, 0);
+        let _b = net.start_flow(SimTime::ZERO, fwd(&links[..1]), 2_000_000, 1);
         // Shared at 50 Gbps each. Flow a: 8e6 bits / 50e9 = 160 us.
         let t1 = net.next_event_time().unwrap();
         assert!((t1.as_micros_f64() - 161.0).abs() < 1.0, "{t1}");
-        let done = net.advance_to(t1);
+        let done = advance(&mut net, t1);
         assert_eq!(done[0].0, a);
         // Flow b then has 1 MB left at full 100 Gbps: 80 us more.
         let t2 = net.next_event_time().unwrap();
@@ -1271,10 +1302,10 @@ mod tests {
     fn advance_past_multiple_completions() {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
-        net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 0);
-        net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 2_000_000, 1);
-        net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 3_000_000, 2);
-        let done = net.advance_to(SimTime::from_millis(10));
+        net.start_flow(SimTime::ZERO, fwd(&links[..1]), 1_000_000, 0);
+        net.start_flow(SimTime::ZERO, fwd(&links[..1]), 2_000_000, 1);
+        net.start_flow(SimTime::ZERO, fwd(&links[..1]), 3_000_000, 2);
+        let done = advance(&mut net, SimTime::from_millis(10));
         assert_eq!(done.len(), 3);
         // Completion order follows size here.
         assert_eq!(
@@ -1290,7 +1321,7 @@ mod tests {
     fn utilization_and_residual() {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
-        net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 100_000_000, 0);
+        net.start_flow(SimTime::ZERO, fwd(&links[..1]), 100_000_000, 0);
         assert!((net.link_utilization(links[0]) - 1.0).abs() < 1e-9);
         assert_eq!(net.link_utilization(links[1]), 0.0);
         let res = net.residual_bandwidth();
@@ -1302,8 +1333,8 @@ mod tests {
     fn cancel_restores_bandwidth() {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
-        let a = net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 0);
-        let _b = net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 1);
+        let a = net.start_flow(SimTime::ZERO, fwd(&links[..1]), 1_000_000, 0);
+        let _b = net.start_flow(SimTime::ZERO, fwd(&links[..1]), 1_000_000, 1);
         let cancelled = net.cancel_flow(SimTime::from_micros(10), a).unwrap();
         // 10 us at 50 Gbps = 62.5 kB transferred before cancellation.
         assert!((cancelled.remaining_bytes - (1_000_000.0 - 62_500.0)).abs() < 100.0);
@@ -1323,16 +1354,16 @@ mod tests {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
         // 1 MB at 100 Gbps drains at 80 us; last bit arrives at 82 us.
-        let id = net.start_flow(SimTime::ZERO, &fwd(&links), 1_000_000, 42);
+        let id = net.start_flow(SimTime::ZERO, fwd(&links), 1_000_000, 42);
         let finish = net.next_event_time().unwrap();
         // Move to a point strictly between drain and arrival.
         let between = SimTime::from_micros(81);
-        assert!(net.advance_to(between).is_empty());
+        assert!(advance(&mut net, between).is_empty());
         assert_eq!(net.flow_remaining(id), Some(0.0));
         // The cancel is refused: all bytes were delivered.
         assert!(net.cancel_flow(between, id).is_none());
         // ... and the completion still arrives on time.
-        let done = net.advance_to(finish);
+        let done = advance(&mut net, finish);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, id);
         assert_eq!(done[0].1.tag, 42);
@@ -1345,10 +1376,10 @@ mod tests {
     fn empty_path_completes_immediately() {
         let (g, _, _) = line();
         let mut net = SimNet::new(&g);
-        net.start_flow(SimTime::from_secs(1), &[], 1 << 30, 5);
+        net.start_flow(SimTime::from_secs(1), Arc::from([]), 1 << 30, 5);
         let t = net.next_event_time().unwrap();
         assert_eq!(t, SimTime::from_secs(1));
-        let done = net.advance_to(t);
+        let done = advance(&mut net, t);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1.tag, 5);
     }
@@ -1357,7 +1388,7 @@ mod tests {
     fn zero_byte_flow_costs_only_propagation() {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
-        net.start_flow(SimTime::ZERO, &fwd(&links), 0, 0);
+        net.start_flow(SimTime::ZERO, fwd(&links), 0, 0);
         let t = net.next_event_time().unwrap();
         assert_eq!(t, SimTime::from_micros(2));
     }
@@ -1367,16 +1398,16 @@ mod tests {
     fn clock_must_be_monotone() {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
-        net.start_flow(SimTime::from_secs(2), &fwd(&links), 10, 0);
-        net.advance_to(SimTime::from_secs(1));
+        net.start_flow(SimTime::from_secs(2), fwd(&links), 10, 0);
+        advance(&mut net, SimTime::from_secs(1));
     }
 
     #[test]
     fn weighted_flow_gets_larger_share() {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
-        let heavy = net.start_weighted_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 3.0, 0);
-        let light = net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 1);
+        let heavy = net.start_weighted_flow(SimTime::ZERO, fwd(&links[..1]), 1_000_000, 3.0, 0);
+        let light = net.start_flow(SimTime::ZERO, fwd(&links[..1]), 1_000_000, 1);
         net.next_event_time();
         let rh = net.flow(heavy).unwrap().rate_bps;
         let rl = net.flow(light).unwrap().rate_bps;
@@ -1388,7 +1419,7 @@ mod tests {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
         // 1 MB at 100 Gbps would finish at ~82 us.
-        net.start_flow(SimTime::ZERO, &fwd(&links), 1_000_000, 0);
+        net.start_flow(SimTime::ZERO, fwd(&links), 1_000_000, 0);
         // At 40 us (≈ 0.5 MB in), the first link browns out to 25%.
         let aborted = net.set_link_scale(SimTime::from_micros(40), links[0], 0.25);
         assert!(aborted.is_empty(), "degrade must not abort flows");
@@ -1407,8 +1438,8 @@ mod tests {
     fn dead_link_aborts_crossing_flows_only() {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
-        let doomed = net.start_flow(SimTime::ZERO, &fwd(&links), 1_000_000, 7);
-        let survivor = net.start_flow(SimTime::ZERO, &fwd(&links[1..]), 1_000_000, 8);
+        let doomed = net.start_flow(SimTime::ZERO, fwd(&links), 1_000_000, 7);
+        let survivor = net.start_flow(SimTime::ZERO, fwd(&links[1..]), 1_000_000, 8);
         let aborted = net.set_link_scale(SimTime::from_micros(10), links[0], 0.0);
         assert_eq!(aborted.len(), 1);
         assert_eq!(aborted[0].0, doomed);
@@ -1421,15 +1452,15 @@ mod tests {
         assert_eq!(net.residual_bandwidth()[links[0].idx()], 0.0);
         assert!((net.link_scale(links[0]) - 0.0).abs() < 1e-12);
         // A flow started across the dead link stalls rather than finishing.
-        net.start_flow(SimTime::from_micros(20), &fwd(&links[..1]), 1_000, 9);
+        net.start_flow(SimTime::from_micros(20), fwd(&links[..1]), 1_000, 9);
         let next = net.next_event_time().unwrap();
         assert!(next < SimTime::MAX, "survivor still finishes");
-        let done = net.advance_to(SimTime::from_millis(1));
+        let done = advance(&mut net, SimTime::from_millis(1));
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1.tag, 8);
         // Recovery lets the stalled flow drain.
         net.set_link_scale(SimTime::from_millis(2), links[0], 1.0);
-        let done = net.advance_to(SimTime::from_millis(3));
+        let done = advance(&mut net, SimTime::from_millis(3));
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1.tag, 9);
     }
@@ -1438,10 +1469,10 @@ mod tests {
     fn byte_conservation_across_rate_changes() {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
-        net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 4_000_000, 0);
+        net.start_flow(SimTime::ZERO, fwd(&links[..1]), 4_000_000, 0);
         // A second flow arrives mid-transfer and leaves via completion.
-        net.start_flow(SimTime::from_micros(100), &fwd(&links[..1]), 1_000_000, 1);
-        net.advance_to(SimTime::from_millis(5));
+        net.start_flow(SimTime::from_micros(100), fwd(&links[..1]), 1_000_000, 1);
+        advance(&mut net, SimTime::from_millis(5));
         assert_eq!(net.active_flow_count(), 0);
         assert!(
             (net.cumulative_bytes(links[0]) - 5_000_000.0).abs() < 10.0,
@@ -1461,15 +1492,15 @@ mod tests {
             let mut net = SimNet::new(&g);
             net.set_full_resolve(full);
             let mut log: Vec<(u64, u64)> = Vec::new();
-            net.start_flow(SimTime::ZERO, &fwd(&links), 2_000_000, 1);
-            let b = net.start_flow(SimTime::from_micros(30), &fwd(&links[..1]), 1_000_000, 2);
-            net.start_flow(SimTime::from_micros(40), &fwd(&links[1..]), 500_000, 3);
+            net.start_flow(SimTime::ZERO, fwd(&links), 2_000_000, 1);
+            let b = net.start_flow(SimTime::from_micros(30), fwd(&links[..1]), 1_000_000, 2);
+            net.start_flow(SimTime::from_micros(40), fwd(&links[1..]), 500_000, 3);
             net.set_link_scale(SimTime::from_micros(60), links[0], 0.5);
-            for (id, f) in net.advance_to(SimTime::from_micros(120)) {
+            for (id, f) in advance(&mut net, SimTime::from_micros(120)) {
                 log.push((id.0, f.tag));
             }
             net.cancel_flow(SimTime::from_micros(130), b);
-            for (id, f) in net.advance_to(SimTime::from_millis(4)) {
+            for (id, f) in advance(&mut net, SimTime::from_millis(4)) {
                 log.push((id.0, f.tag));
             }
             let bytes: Vec<u64> = (0..2)
@@ -1490,10 +1521,10 @@ mod tests {
         let mut net = SimNet::new(&g);
         // Two flows contending in cluster 0, one lone flow per other
         // cluster.
-        net.start_flow(SimTime::ZERO, &fwd(&[links[0][0]]), 10_000_000, 0);
-        net.start_flow(SimTime::ZERO, &fwd(&[links[0][0]]), 10_000_000, 1);
-        let b = net.start_flow(SimTime::ZERO, &fwd(&[links[1][0]]), 10_000_000, 2);
-        let c = net.start_flow(SimTime::ZERO, &fwd(&[links[2][1]]), 10_000_000, 3);
+        net.start_flow(SimTime::ZERO, fwd(&[links[0][0]]), 10_000_000, 0);
+        net.start_flow(SimTime::ZERO, fwd(&[links[0][0]]), 10_000_000, 1);
+        let b = net.start_flow(SimTime::ZERO, fwd(&[links[1][0]]), 10_000_000, 2);
+        let c = net.start_flow(SimTime::ZERO, fwd(&[links[2][1]]), 10_000_000, 3);
         net.next_event_time();
         let before_b = {
             let f = net.flow(b).unwrap();
@@ -1535,8 +1566,8 @@ mod tests {
         let (g, _, links) = line();
         let mut net = SimNet::new(&g);
         // Two flows on one link: single bottleneck -> aggregate tier.
-        net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 1_000_000, 0);
-        net.start_flow(SimTime::ZERO, &fwd(&links[..1]), 2_000_000, 1);
+        net.start_flow(SimTime::ZERO, fwd(&links[..1]), 1_000_000, 0);
+        net.start_flow(SimTime::ZERO, fwd(&links[..1]), 2_000_000, 1);
         net.next_event_time();
         let s = net.solve_stats();
         assert_eq!(
@@ -1547,8 +1578,8 @@ mod tests {
         // Degrade l1 and pile flows on it so the two-link path saturates
         // both links at different shares -> exact-solver handoff.
         net.set_link_scale(SimTime::from_micros(1), links[1], 0.3);
-        net.start_flow(SimTime::from_micros(1), &fwd(&links), 4_000_000, 2);
-        net.start_flow(SimTime::from_micros(1), &fwd(&links[1..]), 4_000_000, 3);
+        net.start_flow(SimTime::from_micros(1), fwd(&links), 4_000_000, 2);
+        net.start_flow(SimTime::from_micros(1), fwd(&links[1..]), 4_000_000, 3);
         net.next_event_time();
         let s = net.solve_stats();
         assert!(
@@ -1575,14 +1606,14 @@ mod tests {
                     };
                     net.start_flow(
                         SimTime::from_nanos(100 * k),
-                        &path,
+                        path,
                         500_000 + 37_000 * k + 11_000 * ci as u64,
                         (ci as u64) << 8 | k,
                     );
                 }
             }
-            net.start_flow(SimTime::from_nanos(50), &[], 1_000, 9999);
-            let done = net.advance_to(SimTime::from_millis(10));
+            net.start_flow(SimTime::from_nanos(50), Arc::from([]), 1_000, 9999);
+            let done = advance(&mut net, SimTime::from_millis(10));
             let order: Vec<(u64, u64)> = done.iter().map(|(id, f)| (id.0, f.tag)).collect();
             let bytes: Vec<u64> = links
                 .iter()
@@ -1603,7 +1634,7 @@ mod tests {
         let mut net = SimNet::new(&g);
         let tracer = hs_obs::Tracer::recording();
         net.set_tracer(&tracer);
-        net.start_flow(SimTime::ZERO, &fwd(&links), 1_000_000, 7);
+        net.start_flow(SimTime::ZERO, fwd(&links), 1_000_000, 7);
         // Degrade, then kill the first link: one re-rate, one abort.
         net.set_link_scale(SimTime::from_micros(10), links[0], 0.5);
         let dead = net.set_link_scale(SimTime::from_micros(20), links[0], 0.0);
@@ -1633,10 +1664,10 @@ mod tests {
             if traced {
                 net.set_tracer(&hs_obs::Tracer::recording());
             }
-            net.start_flow(SimTime::ZERO, &fwd(&links), 2_000_000, 1);
-            net.start_flow(SimTime::from_micros(50), &fwd(&links[..1]), 500_000, 2);
+            net.start_flow(SimTime::ZERO, fwd(&links), 2_000_000, 1);
+            net.start_flow(SimTime::from_micros(50), fwd(&links[..1]), 500_000, 2);
             net.set_link_scale(SimTime::from_micros(80), links[0], 0.5);
-            let done = net.advance_to(SimTime::from_millis(5));
+            let done = advance(&mut net, SimTime::from_millis(5));
             (
                 done.iter().map(|(id, f)| (id.0, f.tag)).collect::<Vec<_>>(),
                 net.cumulative_bytes(links[0]),

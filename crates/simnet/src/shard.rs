@@ -228,7 +228,7 @@ fn solve_shard(
         let f = t.flows[i].as_mut().expect("live flow");
         let rate = rates[k];
         if rate.is_finite() {
-            for &d in &f.path {
+            for &d in f.path.iter() {
                 t.rate[local_slot(&t.slots, net::slot(d))] += rate;
             }
         }

@@ -41,6 +41,7 @@ use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
 use hs_topology::{Graph, LinkId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const N_LINKS: usize = 8;
 
@@ -459,13 +460,13 @@ impl Harness {
                 bytes,
                 weight_q,
             } => {
-                let path = self.path(link_mask, dir_mask);
+                let path: Arc<[DirLink]> = self.path(link_mask, dir_mask).into();
                 let w = 1.0 + (weight_q % 4) as f64;
                 let rid = self
                     .refnet
                     .start_weighted_flow(self.now, &path, bytes, w, bytes);
                 for net in [&mut self.inc, &mut self.full, &mut self.sharded] {
-                    let id = net.start_weighted_flow(self.now, &path, bytes, w, bytes);
+                    let id = net.start_weighted_flow(self.now, path.clone(), bytes, w, bytes);
                     assert_eq!(rid, id.0);
                 }
                 self.issued.push(rid);
@@ -524,24 +525,15 @@ impl Harness {
 
     fn advance_all(&mut self, t: SimTime) {
         self.done_ref.extend(self.refnet.advance_to(t));
-        self.done_inc.extend(
-            self.inc
-                .advance_to(t)
-                .into_iter()
-                .map(|(id, f)| (id.0, f.tag)),
-        );
-        self.done_full.extend(
-            self.full
-                .advance_to(t)
-                .into_iter()
-                .map(|(id, f)| (id.0, f.tag)),
-        );
-        self.done_sharded.extend(
-            self.sharded
-                .advance_to(t)
-                .into_iter()
-                .map(|(id, f)| (id.0, f.tag)),
-        );
+        let mut buf = Vec::new();
+        for (net, log) in [
+            (&mut self.inc, &mut self.done_inc),
+            (&mut self.full, &mut self.done_full),
+            (&mut self.sharded, &mut self.done_sharded),
+        ] {
+            net.advance_to(t, &mut buf);
+            log.extend(buf.drain(..).map(|(id, f)| (id.0, f.tag)));
+        }
     }
 
     /// Full bitwise state comparison across the four simulators.

@@ -22,6 +22,7 @@ use hs_topology::builders::{xtracks, XTracksConfig};
 use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
 use hs_topology::routing::shortest_path;
 use hs_topology::LinkWeight;
+use std::sync::Arc;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only throughput stress")]
@@ -39,24 +40,25 @@ fn ten_thousand_flows_on_xtracks() {
     let mut delivered_per_slot = vec![0.0f64; 2 * n_links];
     let mut launched = 0u64;
     let mut completed = 0u64;
-    let mut paths: Vec<Vec<(hs_topology::LinkId, bool)>> = Vec::new();
+    let mut paths: Vec<Arc<[(hs_topology::LinkId, bool)]>> = Vec::new();
     for i in 0..N_FLOWS {
         let src = gpus[(i as usize * 7) % gpus.len()];
         let dst = gpus[(i as usize * 13 + 1) % gpus.len()];
         if src == dst {
-            paths.push(Vec::new());
+            paths.push(Arc::from([]));
             continue;
         }
         let p = shortest_path(g, src, dst, LinkWeight::Latency, None)
             .expect("xtracks is connected")
             .directed_links(g);
-        paths.push(p);
+        paths.push(p.into());
     }
 
     // Staggered arrivals: one flow every 2 us, sizes cycling 64 kB–1 MB.
     let mut next_arrival = SimTime::ZERO;
     let mut arrival_iter = 0u64;
     let mut now = SimTime::ZERO;
+    let mut done = Vec::new();
     while completed < N_FLOWS {
         // Launch everything due before the next completion.
         let next_done = net.next_event_time();
@@ -66,7 +68,12 @@ fn ten_thousand_flows_on_xtracks() {
         };
         while launched < N_FLOWS && next_arrival <= horizon {
             let bytes = 64_000 + (arrival_iter % 16) * 60_000;
-            net.start_flow(next_arrival, &paths[launched as usize], bytes, launched);
+            net.start_flow(
+                next_arrival,
+                paths[launched as usize].clone(),
+                bytes,
+                launched,
+            );
             launched += 1;
             arrival_iter += 1;
             next_arrival += SimSpan::from_micros(2);
@@ -86,10 +93,11 @@ fn ten_thousand_flows_on_xtracks() {
             _ => panic!("flows outstanding but no next event"),
         };
         now = now.max(target);
-        for (id, f) in net.advance_to(now) {
+        net.advance_to(now, &mut done);
+        for (id, f) in done.drain(..) {
             completed += 1;
             assert_eq!(f.remaining_bytes, 0.0, "flow {id:?} returned undrained");
-            for &(l, fwd) in &f.path {
+            for &(l, fwd) in f.path.iter() {
                 delivered_per_slot[l.idx() * 2 + fwd as usize] += f.size_bytes as f64;
             }
         }
@@ -156,14 +164,14 @@ fn sharded_bulk_advance_matches_sequential_at_scale() {
             for k in 0..FLOWS_PER_CLUSTER {
                 // Alternate two-hop and one-hop paths so components mix
                 // aggregate-tier and exact-solver re-solves in-shard.
-                let path: Vec<_> = if k % 2 == 0 {
+                let path: Arc<[_]> = if k % 2 == 0 {
                     pair.iter().map(|&l| (l, true)).collect()
                 } else {
-                    vec![(pair[0], true)]
+                    Arc::from([(pair[0], true)])
                 };
                 net.start_flow(
                     SimTime::from_nanos(211 * k + 17 * ci as u64),
-                    &path,
+                    path,
                     300_000 + 41_000 * k + 5_000 * ci as u64,
                     ((ci as u64) << 8) | k,
                 );
@@ -173,7 +181,9 @@ fn sharded_bulk_advance_matches_sequential_at_scale() {
         // and a drain-everything cut.
         let mut trace: Vec<(u64, u64)> = Vec::new();
         for cut in [SimTime::from_millis(1), SimTime::from_secs(10)] {
-            trace.extend(net.advance_to(cut).iter().map(|(id, f)| (id.0, f.tag)));
+            let mut done = Vec::new();
+            net.advance_to(cut, &mut done);
+            trace.extend(done.iter().map(|(id, f)| (id.0, f.tag)));
         }
         let bytes: Vec<u64> = links
             .iter()

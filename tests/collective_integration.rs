@@ -109,7 +109,7 @@ fn congestion_slows_collectives_and_drains_afterwards() {
     let mut net = SimNet::new(&topo.graph);
     // Saturate the first GPU's uplink.
     let hog = ap.path(group[0], sw).directed_links(&topo.graph);
-    net.start_flow(SimTime::ZERO, &hog, 1 << 30, 0);
+    net.start_flow(SimTime::ZERO, hog.into(), 1 << 30, 0);
     let contended = run_on(
         &mut net,
         SimTime::ZERO,
@@ -125,7 +125,8 @@ fn congestion_slows_collectives_and_drains_afterwards() {
     );
     // The background flow still completes after the collective.
     let t = net.next_event_time().expect("hog still active");
-    let done = net.advance_to(t);
+    let mut done = Vec::new();
+    net.advance_to(t, &mut done);
     assert_eq!(done.len(), 1);
 }
 

@@ -423,13 +423,14 @@ fn sharded_event_merge_identical_across_rayon_thread_counts() {
                 };
                 net.start_flow(
                     SimTime::from_nanos(177 * k + 13 * ci as u64),
-                    &path,
+                    path.into(),
                     400_000 + 53_000 * k + 7_000 * ci as u64,
                     (ci as u64) << 8 | k,
                 );
             }
         }
-        let done = net.advance_to(SimTime::from_millis(20));
+        let mut done = Vec::new();
+        net.advance_to(SimTime::from_millis(20), &mut done);
         let trace: Vec<(u64, u64)> = done.iter().map(|(id, f)| (id.0, f.tag)).collect();
         let bytes: Vec<u64> = links
             .iter()
