@@ -18,7 +18,10 @@
 //!
 //! Truncated (capped) runs are flagged and report a `null` headline
 //! `events_per_sec`; the raw rate of a truncated prefix is kept under
-//! `raw_events_per_sec` for diagnostics only.
+//! `raw_events_per_sec` for diagnostics only. Each row also records the
+//! run's exact work counters (`SolveStats`: flows rated, scoped solves,
+//! completion-heap pushes and stale pops), which do not depend on the
+//! host.
 //!
 //! Writes `results/bench_simnet.json`.
 
@@ -51,6 +54,10 @@ fn push_row(table: &mut ExpTable, n_flows: usize, mode: &str, run: &ThroughputRu
             "raw_events_per_sec": run.raw_events_per_sec,
             "ran_to_completion": run.ran_to_completion,
             "truncated": !run.ran_to_completion,
+            "scoped_solves": run.work.scoped_solves,
+            "flows_rated": run.work.flows_rated,
+            "heap_pushes": run.work.heap_pushes,
+            "stale_pops": run.work.stale_pops,
         }),
     );
 }

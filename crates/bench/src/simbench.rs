@@ -11,7 +11,7 @@
 //! (`results/bench_simnet.json`).
 
 use hs_des::SimTime;
-use hs_simnet::{DirLink, SimNet};
+use hs_simnet::{DirLink, SimNet, SolveStats};
 use hs_topology::graph::{bandwidth, GpuSpec, GraphBuilder, LinkKind, ServerId};
 use hs_topology::Graph;
 use std::sync::Arc;
@@ -59,17 +59,21 @@ pub struct ThroughputRun {
     pub raw_events_per_sec: f64,
     /// Whether every flow completed before the event cap.
     pub ran_to_completion: bool,
+    /// The network's exact work counters at the end of the run.
+    pub work: SolveStats,
 }
 
 impl ThroughputRun {
-    fn finish(events: u64, wall_s: f64, ran_to_completion: bool) -> ThroughputRun {
+    fn finish(events: u64, wall_s: f64, net: &SimNet) -> ThroughputRun {
         let raw = events as f64 / wall_s.max(1e-12);
+        let ran_to_completion = net.active_flow_count() == 0;
         ThroughputRun {
             events,
             wall_s,
             events_per_sec: ran_to_completion.then_some(raw),
             raw_events_per_sec: raw,
             ran_to_completion,
+            work: net.solve_stats(),
         }
     }
 }
@@ -103,11 +107,7 @@ pub fn pull_loop_throughput(
         events += done.len() as u64;
         done.clear();
     }
-    ThroughputRun::finish(
-        events,
-        start.elapsed().as_secs_f64(),
-        net.active_flow_count() == 0,
-    )
+    ThroughputRun::finish(events, start.elapsed().as_secs_f64(), &net)
 }
 
 /// Time a **bulk** advance: start every flow, then drain the whole field
@@ -130,9 +130,5 @@ pub fn bulk_advance_throughput(
     let mut done = Vec::new();
     net.advance_to(SimTime::from_secs(86_400), &mut done);
     events += done.len() as u64;
-    ThroughputRun::finish(
-        events,
-        start.elapsed().as_secs_f64(),
-        net.active_flow_count() == 0,
-    )
+    ThroughputRun::finish(events, start.elapsed().as_secs_f64(), &net)
 }

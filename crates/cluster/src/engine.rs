@@ -1896,6 +1896,13 @@ impl ClusterSim {
         report
     }
 
+    /// The fabric simulator's work counters (scoped solves, flows rated,
+    /// completion-heap pushes and stale pops) so far. Read-only and kept
+    /// out of [`SimReport`], whose JSON the golden digests pin.
+    pub fn solve_stats(&self) -> hs_simnet::SolveStats {
+        self.net.solve_stats()
+    }
+
     /// Read-only view of the request states (tests).
     pub fn requests(&self) -> &[ReqState] {
         &self.reqs

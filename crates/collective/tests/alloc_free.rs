@@ -5,9 +5,11 @@
 //! reusable buffer reach its working size, replaying cached collective
 //! plans on a [`SimNet`] — starting their flows, rating them, draining
 //! their completions and stepping the [`CollectiveExec`]s — must allocate
-//! nothing, and neither may a re-solve whose component has no flows left.
-//! The counts are deterministic, so any allocation that creeps back into
-//! that path fails here.
+//! nothing, and neither may retiring the slots a departing flow leaves
+//! empty. The counts are deterministic, so any allocation that creeps
+//! back into that path fails here. The same replays pin the completion
+//! heap's invariant: a departing flow leaves no dead entry, so a plan
+//! running alone never pops a stale one.
 
 use hs_collective::{CollectiveExec, CollectivePlan, Progress, Scheme};
 use hs_des::SimTime;
@@ -150,9 +152,12 @@ fn cached_collectives_allocate_nothing_per_flow() {
     let round = |net: &mut SimNet, now: &mut SimTime, done: &mut Vec<_>, k: u64| -> u64 {
         let mut flows = 0;
         for plan in &plans {
+            let stale = net.solve_stats().stale_pops;
             let mut execs = [CollectiveExec::new(plan.clone(), (1 << 20) + k, 0)];
             let (t, n) = run(net, &mut execs, *now, done);
             (*now, flows) = (t, flows + n);
+            // Alone, no live flow is ever re-rated: nothing goes stale.
+            assert_eq!(net.solve_stats().stale_pops, stale, "solo replay");
         }
         let mut execs = [0, 1, 2, 3].map(|i| {
             CollectiveExec::new(
@@ -166,8 +171,9 @@ fn cached_collectives_allocate_nothing_per_flow() {
         flows
     };
 
+    let mut warmup_flows = 0;
     for k in 0..50 {
-        round(&mut net, &mut now, &mut done, k);
+        warmup_flows += round(&mut net, &mut now, &mut done, k);
     }
     let before = allocs();
     let mut flows = 0;
@@ -175,6 +181,14 @@ fn cached_collectives_allocate_nothing_per_flow() {
         flows += round(&mut net, &mut now, &mut done, k);
     }
     let allocated = allocs() - before;
+    // Contending plans re-rate live flows. Each flow's first entry is
+    // popped when it completes, so only the re-keys beyond it can go
+    // stale.
+    let s = net.solve_stats();
+    assert!(
+        s.stale_pops <= s.heap_pushes - (warmup_flows + flows),
+        "a stale entry that no re-key superseded: {s:?}"
+    );
     assert!(
         flows > 10_000,
         "the gate must drive real traffic, got {flows}"
@@ -193,22 +207,25 @@ fn empty_component_resolve_allocates_nothing() {
     let route: Arc<[DirLink]> = ap.path(a, b).directed_links(&topo.graph).into();
     let slots = route.len() as u64;
     let mut net = SimNet::new(&topo.graph);
-    // A flow that leaves at once: its slots seed a re-solve of a
-    // component with no flows in it.
-    let start_and_cancel = |net: &mut SimNet, us: u64| {
+    // A flow that leaves at once: its slots are left without flows and
+    // retire, each counted as a one-round solve of an empty component.
+    let start = |net: &mut SimNet, us: u64| {
         let now = SimTime::from_micros(us);
         let id = net.start_flow(now, route.clone(), 1 << 20, 0);
         net.next_event_time();
-        assert!(net.cancel_flow(now, id).is_some());
+        (now, id)
     };
-    start_and_cancel(&mut net, 1);
+    let (now, id) = start(&mut net, 1);
+    assert!(net.cancel_flow(now, id).is_some());
     net.next_event_time();
-    start_and_cancel(&mut net, 2);
+    let (now, id) = start(&mut net, 2);
 
     let stats = net.solve_stats();
     let before = allocs();
+    let cancelled = net.cancel_flow(now, id);
     assert_eq!(net.next_event_time(), None);
     let allocated = allocs() - before;
+    assert!(cancelled.is_some());
     let after = net.solve_stats();
     assert_eq!(after.scoped_solves - stats.scoped_solves, slots);
     assert_eq!(after.aggregate_solves - stats.aggregate_solves, slots);

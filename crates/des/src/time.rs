@@ -55,7 +55,7 @@ impl SimTime {
         if !s.is_finite() || s <= 0.0 {
             return SimTime::ZERO;
         }
-        SimTime((s * 1e9).round().min(u64::MAX as f64) as u64)
+        SimTime(round_nanos(s * 1e9))
     }
 
     /// Raw nanoseconds since the epoch.
@@ -95,7 +95,7 @@ impl SimTime {
         if !factor.is_finite() || factor <= 0.0 {
             return SimTime::ZERO;
         }
-        SimTime((self.0 as f64 * factor).round().min(u64::MAX as f64) as u64)
+        SimTime(round_nanos(self.0 as f64 * factor))
     }
 
     /// Saturating difference `self - earlier`.
@@ -147,7 +147,7 @@ impl SimSpan {
         if !s.is_finite() || s <= 0.0 {
             return SimSpan::ZERO;
         }
-        SimSpan((s * 1e9).round().min(u64::MAX as f64) as u64)
+        SimSpan(round_nanos(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -201,7 +201,7 @@ impl SimSpan {
         if !factor.is_finite() || factor <= 0.0 {
             return SimSpan::ZERO;
         }
-        SimSpan((self.0 as f64 * factor).round().min(u64::MAX as f64) as u64)
+        SimSpan(round_nanos(self.0 as f64 * factor))
     }
 }
 
@@ -338,9 +338,114 @@ pub fn transfer_span(bytes: u64, bits_per_sec: f64) -> SimSpan {
     }
 }
 
+/// `x.round().min(u64::MAX as f64) as u64` for a non-negative, non-NaN
+/// nanosecond count `x`, without `f64::round` — a libm call on baseline
+/// x86-64, and this sits inside every flow-rate materialization.
+///
+/// Below 2^52 a float can carry a fraction, and `x - trunc(x)` is that
+/// fraction exactly, so comparing it with 0.5 rounds half away from zero
+/// as `round` does; the truncation goes through `i64`, whose conversions
+/// are single instructions (the value fits). From 2^52 on every float is
+/// an integer, and `as` saturates at `u64::MAX` (including for `+inf`).
+#[inline]
+fn round_nanos(x: f64) -> u64 {
+    const FRACTIONS_END: f64 = (1u64 << 52) as f64;
+    if x < FRACTIONS_END {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The conversion `from_secs_f64` performed before `round_nanos`.
+    fn reference(s: f64) -> u64 {
+        if !s.is_finite() || s <= 0.0 {
+            return 0;
+        }
+        (s * 1e9).round().min(u64::MAX as f64) as u64
+    }
+
+    /// `x` and its `k` float neighbours on each side.
+    fn neighbours(x: f64, k: i64) -> impl Iterator<Item = f64> {
+        (-k..=k).map(move |d| f64::from_bits(x.to_bits().wrapping_add_signed(d)))
+    }
+
+    #[test]
+    fn secs_to_nanos_rounding_matches_the_libm_reference() {
+        let boundary = (1u64 << 52) as f64;
+        let mut secs: Vec<f64> = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NAN,
+            // Subnormal and tiny positive inputs.
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            0.49e-9,
+            0.5e-9,
+            // Saturation at u64::MAX.
+            u64::MAX as f64 / 1e9,
+            1e11,
+            f64::MAX,
+        ];
+        // Half nanoseconds across the magnitudes, up to the 2^52 ns
+        // boundary where fractions end.
+        for k in [0u64, 1, 2, 7, 1_000, 123_456_789, 1 << 40, (1 << 51) + 3] {
+            secs.extend(neighbours((k as f64 + 0.5) / 1e9, 4));
+        }
+        secs.extend(neighbours(boundary / 1e9, 4));
+        secs.extend(neighbours(2.0 * boundary / 1e9, 4));
+        for s in secs {
+            assert_eq!(SimSpan::from_secs_f64(s).as_nanos(), reference(s), "{s:e}");
+            assert_eq!(SimTime::from_secs_f64(s).as_nanos(), reference(s), "{s:e}");
+        }
+        // Exact half nanoseconds and their neighbours in the ns domain,
+        // on both sides of 2^52 and into saturation.
+        for x in [0.5, 1.5, 2.5, 1e9 + 0.5, boundary - 0.5, boundary - 1.5]
+            .into_iter()
+            .chain([boundary, boundary + 1.0, 2.0 * boundary, 1.9e19, 2e19])
+            .chain([u64::MAX as f64])
+        {
+            for y in neighbours(x, 3) {
+                assert_eq!(
+                    round_nanos(y),
+                    y.round().min(u64::MAX as f64) as u64,
+                    "{y:e}"
+                );
+            }
+        }
+        assert_eq!(round_nanos(f64::INFINITY), u64::MAX);
+    }
+
+    proptest::proptest! {
+        /// Any float bit pattern — negative, subnormal, NaN, huge — and
+        /// uniform second counts convert exactly as the libm reference.
+        #[test]
+        fn secs_to_nanos_rounding_matches_on_arbitrary_inputs(
+            bits in 0u64..u64::MAX,
+            secs in 0.0f64..1e4,
+            (ns, frac) in (0u64..(1 << 53), 0u8..3),
+        ) {
+            for s in [f64::from_bits(bits), secs] {
+                for y in neighbours(s, 2) {
+                    proptest::prop_assert_eq!(SimSpan::from_secs_f64(y).as_nanos(), reference(y));
+                }
+            }
+            let x = ns as f64 + [0.25, 0.5, 0.75][frac as usize];
+            for y in neighbours(x, 2) {
+                proptest::prop_assert_eq!(round_nanos(y), y.round() as u64, "{:e}", y);
+            }
+        }
+    }
 
     #[test]
     fn constructors_agree() {

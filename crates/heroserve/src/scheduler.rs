@@ -16,6 +16,14 @@
 //!    and relaxes every `b_c` toward the *measured* utilization of its
 //!    links — the role of the central controller's synchronization, which
 //!    in this single-process simulation is exact.
+//!
+//! Each table precomputes its **sharer lists** when it is built: for
+//! every link of policy `c`, the other policies that also cross it. A
+//! refresh then walks each policy's links once, summing `c`'s total
+//! weight and, through the lists, every other policy's shared weight —
+//! O(policies × links) instead of one intersection per ordered pair, and
+//! with the same float additions in the same order, so the refreshed
+//! penalties are bit for bit those of the pairwise formula.
 
 use crate::netest::{available_bandwidth, kv_transfer_estimate};
 use crate::policy::{build_policies, netkv_score, KvSelectParams, Policy};
@@ -80,6 +88,11 @@ struct PolicyTable {
     b: Vec<f64>,
     /// Load penalty `f_{(i,j)}`: impact of choosing `i` on `j`.
     f: Vec<Vec<f64>>,
+    /// Eq. 18's sharer lists: `sharers[j][k]` holds the other policies
+    /// that cross `policies[j].links[k]`, ascending.
+    sharers: Vec<Vec<Vec<usize>>>,
+    /// Per-policy shared-weight accumulator of [`sharing_ratios`].
+    shared: Vec<f64>,
     /// Selections per policy (diagnostics/ablation).
     picks: Vec<u64>,
     /// Per-link capacities (bits/s) from the fabric graph, indexed by
@@ -103,19 +116,36 @@ struct Selection {
 impl PolicyTable {
     fn new(policies: Vec<Policy>, link_caps: Vec<f64>) -> Self {
         let n = policies.len();
+        let sharers: Vec<Vec<Vec<usize>>> = policies
+            .iter()
+            .enumerate()
+            .map(|(j, p)| {
+                p.links
+                    .iter()
+                    .map(|l| {
+                        (0..n)
+                            .filter(|&i| i != j && policies[i].links.binary_search(l).is_ok())
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
         // Initialize f with the *structural* sharing ratio (capacity
         // weighted); Eq. 18 refreshes it with live utilization later.
         let mut f = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    f[i][j] = sharing_ratio(&policies[i], &policies[j], &link_caps, None);
-                }
-            }
-        }
+        let mut shared = vec![0.0; n];
+        sharing_ratios(
+            &policies,
+            &sharers,
+            &mut shared,
+            |l| link_weight(&link_caps, l),
+            |i, j, w| f[i][j] = w,
+        );
         PolicyTable {
             b: vec![0.0; n],
             f,
+            sharers,
+            shared,
             picks: vec![0; n],
             link_caps,
             last_decay: SimTime::ZERO,
@@ -200,20 +230,14 @@ impl PolicyTable {
 
     /// Eq. 18 + measurement sync.
     fn refresh(&mut self, link_util: &[f64], gamma: f64, kappa: f64) {
-        let n = self.policies.len();
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let w = sharing_ratio(
-                        &self.policies[i],
-                        &self.policies[j],
-                        &self.link_caps,
-                        Some(link_util),
-                    );
-                    self.f[i][j] = (1.0 - gamma) * self.f[i][j] + gamma * w;
-                }
-            }
-        }
+        let (caps, f) = (&self.link_caps, &mut self.f);
+        sharing_ratios(
+            &self.policies,
+            &self.sharers,
+            &mut self.shared,
+            |l| link_weight(caps, l) * link_util.get(l.idx()).copied().unwrap_or(0.0).max(0.05),
+            |i, j, w| f[i][j] = (1.0 - gamma) * f[i][j] + gamma * w,
+        );
         // Pull virtual costs toward the measured utilization of each
         // policy's links (the controller's ground truth).
         for (i, p) in self.policies.iter().enumerate() {
@@ -233,36 +257,48 @@ fn delta(p: &Policy, bytes: u64, t_u: f64) -> f64 {
     bytes as f64 * p.max_link_secs_per_byte / t_u
 }
 
-/// `W_{(c*,c)}`: how much of `c`'s route the chosen policy `c*` loads.
-/// With `util`, links are weighted by `capacity × utilization` as the
-/// paper monitors; without, by capacity alone (structural prior). The
-/// capacity weights matter on heterogeneous routes: a shared 600 Gb/s
-/// NVLink hop carries far more of `c`'s traffic than a shared 100 Gb/s
-/// Ethernet hop, so it must dominate the ratio.
-fn sharing_ratio(chosen: &Policy, other: &Policy, caps: &[f64], util: Option<&[f64]>) -> f64 {
-    let weight = |l: hs_topology::LinkId| -> f64 {
-        // Unknown links (stale table vs. grown graph) weigh as 1.0 so the
-        // ratio stays defined instead of silently vanishing.
-        let cap = caps.get(l.idx()).copied().unwrap_or(1.0);
-        match util {
-            Some(u) => cap * u.get(l.idx()).copied().unwrap_or(0.0).max(0.05),
-            None => cap,
+/// A link's capacity, Eq. 18's structural weight. Unknown links (stale
+/// table vs. grown graph) weigh as 1.0 so the ratio stays defined instead
+/// of silently vanishing.
+fn link_weight(caps: &[f64], l: LinkId) -> f64 {
+    caps.get(l.idx()).copied().unwrap_or(1.0)
+}
+
+/// `W_{(i,j)}` for every ordered pair `i != j`, passed to `set(i, j, W)`:
+/// how much of `j`'s route policy `i` loads, `Σ_{e ∈ i∩j} weight(e) /
+/// Σ_{e ∈ j} weight(e)` (0 when `j`'s total is not positive). With live
+/// utilization a link weighs `capacity × utilization` as the paper
+/// monitors; the structural prior weighs capacity alone. The capacity
+/// weights matter on heterogeneous routes: a shared 600 Gb/s NVLink hop
+/// carries far more of `j`'s traffic than a shared 100 Gb/s Ethernet
+/// hop, so it must dominate the ratio.
+///
+/// One walk over each `j`'s links accumulates its total and, through the
+/// sharer lists, each `i`'s shared weight: the addends and their order
+/// are those of the pairwise intersection, so every ratio is bitwise the
+/// pairwise one.
+fn sharing_ratios(
+    policies: &[Policy],
+    sharers: &[Vec<Vec<usize>>],
+    shared: &mut [f64],
+    weight: impl Fn(LinkId) -> f64,
+    mut set: impl FnMut(usize, usize, f64),
+) {
+    for (j, p) in policies.iter().enumerate() {
+        shared.fill(0.0);
+        let mut total = 0.0;
+        for (&l, sharing) in p.links.iter().zip(&sharers[j]) {
+            let w = weight(l);
+            total += w;
+            for &i in sharing {
+                shared[i] += w;
+            }
         }
-    };
-    // `other.links` is sorted; binary search for intersection.
-    let mut shared = 0.0;
-    let mut total = 0.0;
-    for &l in &other.links {
-        let w = weight(l);
-        total += w;
-        if chosen.links.binary_search(&l).is_ok() {
-            shared += w;
+        for (i, &sh) in shared.iter().enumerate() {
+            if i != j {
+                set(i, j, if total <= 0.0 { 0.0 } else { sh / total });
+            }
         }
-    }
-    if total <= 0.0 {
-        0.0
-    } else {
-        shared / total
     }
 }
 
@@ -749,6 +785,125 @@ mod tests {
             ),
             "post-recovery pick should leave plain ring behind, got {back:?}"
         );
+    }
+
+    /// The pairwise Eq. 18 ratio `W_{(chosen,other)}`, written out per
+    /// pair: the oracle for the sharer-list evaluation in
+    /// [`sharing_ratios`]. With `util`, links weigh `capacity ×
+    /// utilization` (floored at 0.05); without, capacity alone.
+    fn sharing_ratio(chosen: &Policy, other: &Policy, caps: &[f64], util: Option<&[f64]>) -> f64 {
+        let weight = |l: LinkId| -> f64 {
+            let cap = caps.get(l.idx()).copied().unwrap_or(1.0);
+            match util {
+                Some(u) => cap * u.get(l.idx()).copied().unwrap_or(0.0).max(0.05),
+                None => cap,
+            }
+        };
+        let mut shared = 0.0;
+        let mut total = 0.0;
+        for &l in &other.links {
+            let w = weight(l);
+            total += w;
+            if chosen.links.binary_search(&l).is_ok() {
+                shared += w;
+            }
+        }
+        if total <= 0.0 {
+            0.0
+        } else {
+            shared / total
+        }
+    }
+
+    /// `f` as raw bits, for bitwise comparison.
+    fn bits(f: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        f.iter()
+            .map(|row| row.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// The sharer-list Eq. 18 evaluation is bitwise the pairwise loop: the
+    /// structural prior of a new table, then `f` and `b` after every one
+    /// of K refresh rounds (with Eq. 17 charges in between), for testbed
+    /// and Fig. 2 tensor groups under utilization vectors holding zeros,
+    /// ones, values under the 0.05 floor, and too few entries.
+    #[test]
+    fn sharer_list_refresh_is_bitwise_the_pairwise_loop() {
+        let t = testbed();
+        let mut nodes = t.all_gpus();
+        nodes.extend(&t.access_switches);
+        let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
+        let m = hs_topology::builders::fig2_micro();
+        let m_ap = AllPairs::compute(
+            &m.graph,
+            &[m.gpus[0], m.gpus[1], m.gpus[2], m.access, m.core],
+            LinkWeight::Latency,
+            None,
+        );
+        let cross: Vec<NodeId> = t.gpus_by_server.iter().map(|s| s[0]).collect();
+        let tp4: Vec<NodeId> = t.gpus_by_server[0][..2]
+            .iter()
+            .chain(&t.gpus_by_server[1][..2])
+            .copied()
+            .collect();
+        let cases = [
+            (&t.graph, &ap, cross),
+            (&t.graph, &ap, tp4),
+            (&m.graph, &m_ap, m.gpus.to_vec()),
+        ];
+        let (gamma, kappa) = (0.3, 0.5);
+        for (g, ap, group) in cases {
+            let policies = build_policies(g, ap, &group, &g.ina_switches(), 2);
+            let n = policies.len();
+            assert!(n >= 3, "group {group:?} yields too few policies");
+            let caps = g.capacities();
+            let mut table = PolicyTable::new(policies.clone(), caps.clone());
+            let mut f = vec![vec![0.0; n]; n];
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j {
+                        f[i][j] = sharing_ratio(&policies[i], &policies[j], &caps, None);
+                    }
+                }
+            }
+            assert_eq!(bits(&table.f), bits(&f), "structural prior");
+            let levels = [0.0, 1.0, 0.01, 0.049, 0.05, 0.051, 0.37, 0.999];
+            for round in 0..12usize {
+                let util: Vec<f64> = match round % 4 {
+                    0 => vec![0.0; caps.len()],
+                    1 => vec![1.0; caps.len()],
+                    2 => (0..caps.len() / 2)
+                        .map(|l| levels[(l + round) % levels.len()])
+                        .collect(),
+                    _ => (0..caps.len())
+                        .map(|l| levels[(l * 3 + round) % levels.len()])
+                        .collect(),
+                };
+                if let Some(sel) = table.select(64 << 20, 0.05, &FxHashSet::default()) {
+                    table.charge(sel.idx, 64 << 20, 0.05);
+                }
+                let mut b = table.b.clone();
+                table.refresh(&util, gamma, kappa);
+                for i in 0..n {
+                    for j in 0..n {
+                        if i != j {
+                            let w = sharing_ratio(&policies[i], &policies[j], &caps, Some(&util));
+                            f[i][j] = (1.0 - gamma) * f[i][j] + gamma * w;
+                        }
+                    }
+                    let measured = policies[i]
+                        .links
+                        .iter()
+                        .map(|l| util.get(l.idx()).copied().unwrap_or(0.0))
+                        .fold(0.0f64, f64::max);
+                    b[i] = (1.0 - kappa) * b[i] + kappa * measured;
+                }
+                assert_eq!(bits(&table.f), bits(&f), "f after round {round}");
+                let b_bits: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
+                let t_bits: Vec<u64> = table.b.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(t_bits, b_bits, "b after round {round}");
+            }
+        }
     }
 
     /// A policy over the given links with neutral cost constants.

@@ -374,6 +374,32 @@ impl OneRoundSolver {
     }
 }
 
+/// The one-flow closed form of [`OneRoundSolver::try_solve`]: a component
+/// holding a single flow of `weight` over the slots `links` runs at
+/// `weight × min(capacity.max(0) / weight)`, its tightest hop's share.
+///
+/// Bitwise contract: equal to `try_solve` on the one span. One flow's
+/// per-slot weight sum is `0.0 + weight == weight`, the minimum share is
+/// the same value in any scan order, and the rate is the same single
+/// multiplication. Equal shares keep the lowest slot, as the ascending
+/// scan does, so even the sign of a zero share agrees: `max(0.0)` may
+/// leave a `-0.0` capacity negative (it does in unoptimized builds).
+/// `None` exactly where `try_solve` hands off: no hop has a finite share.
+pub fn single_flow_rate(
+    capacities: &[f64],
+    links: impl IntoIterator<Item = usize>,
+    weight: f64,
+) -> Option<f64> {
+    let (mut best_share, mut best_link) = (f64::INFINITY, usize::MAX);
+    for l in links {
+        let share = capacities[l].max(0.0) / weight;
+        if share < best_share || (share <= best_share && l < best_link) {
+            (best_share, best_link) = (share, l);
+        }
+    }
+    (best_share < f64::INFINITY).then_some(weight * best_share)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,6 +544,22 @@ mod tests {
         let got = ws.solve(&caps, &flat, &spans);
         assert_eq!(got[0].to_bits(), global[2].to_bits());
     }
+
+    /// With no finite share on any hop the closed form hands off, as the
+    /// one-round kernel does.
+    #[test]
+    fn single_flow_rate_hands_off_without_a_finite_share() {
+        let caps = [f64::INFINITY, f64::INFINITY];
+        let span = [FlowSpan {
+            start: 0,
+            len: 2,
+            weight: 1.0,
+        }];
+        assert!(OneRoundSolver::new()
+            .try_solve(&caps, &[1, 0], &span)
+            .is_none());
+        assert_eq!(single_flow_rate(&caps, [1, 0], 1.0), None);
+    }
 }
 
 #[cfg(test)]
@@ -612,6 +654,37 @@ mod proptests {
             for (fi, (a, b)) in expect.iter().zip(got).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "flow {} diverged", fi);
             }
+        }
+
+        /// The one-flow closed form is the aggregate tier on a single
+        /// span, bit for bit: 1–6 hops in arbitrary slot order over
+        /// healthy, degraded and dead (`0.0`, `-0.0`) capacities, with
+        /// unit and non-unit weights.
+        #[test]
+        fn single_flow_rate_bitwise_equals_one_round(
+            (hops, keys) in (1usize..7, proptest::collection::vec(0u64..u64::MAX, 12)),
+            caps in proptest::collection::vec((0u8..4, 1e9f64..1e12, 0.0f64..1.0), 12),
+            (pick, w) in (0u8..4, 0.01f64..10.0),
+        ) {
+            let caps: Vec<f64> = caps
+                .into_iter()
+                .map(|(kind, c, s)| match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => c * s,
+                    _ => c,
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..12).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let path = &order[..hops];
+            let weight = [0.3, 1.0, 3.0, w][pick as usize];
+            let span = [FlowSpan { start: 0, len: hops as u32, weight }];
+            let one_round = OneRoundSolver::new()
+                .try_solve(&caps, path, &span)
+                .map(|r| r[0].to_bits());
+            let closed = single_flow_rate(&caps, path.iter().copied(), weight).map(f64::to_bits);
+            prop_assert_eq!(closed, one_round, "caps {:?} path {:?} weight {}", caps, path, weight);
         }
 
         /// The allocation is invariant under flow permutation (uniqueness).

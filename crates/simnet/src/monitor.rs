@@ -57,7 +57,11 @@ impl LinkMonitor {
                 let bytes = net.cumulative_bytes_dir(LinkId(i as u32), dir);
                 let idx = i * 2 + dir as usize;
                 let delta = (bytes - self.last_bytes[idx]).max(0.0);
-                util = util.max(((delta * 8.0 / dt) / cap).clamp(0.0, 1.0));
+                // An idle slot's sample is 0 (or NaN on a dead link), and
+                // `util.max` of either leaves `util` unchanged.
+                if delta > 0.0 {
+                    util = util.max(((delta * 8.0 / dt) / cap).clamp(0.0, 1.0));
+                }
                 self.last_bytes[idx] = bytes;
             }
             *ewma = (1.0 - self.alpha) * *ewma + self.alpha * util;

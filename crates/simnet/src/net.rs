@@ -47,7 +47,7 @@
 //! implementation and asserts identical rates, completions, and
 //! cumulative link bytes.
 
-use crate::fairshare::{FlowSpan, OneRoundSolver, SolverWorkspace};
+use crate::fairshare::{single_flow_rate, FlowSpan, OneRoundSolver, SolverWorkspace};
 use crate::shard::{run_shard, ShardTask};
 use crate::slab::FlowSlab;
 use hs_des::{SimSpan, SimTime};
@@ -123,7 +123,68 @@ impl Flow {
 
 /// Min-heap entry: `(finish estimate, flow, epoch)`. The epoch tiebreak
 /// keeps pop order fully deterministic even among stale duplicates.
-pub(crate) type HeapEntry = Reverse<(SimTime, FlowId, u64)>;
+type HeapEntry = Reverse<(SimTime, FlowId, u64)>;
+
+/// The lazily invalidated completion heap. Each flow's entry carries the
+/// flow's epoch at push time; only the entry matching a live flow's
+/// current epoch is valid, the rest are stale and are discarded when
+/// they surface.
+///
+/// Invariant: only a flow that stays in the network is ever (re-)keyed.
+/// A flow leaving it (completion, cancel, abort) accrues its bytes
+/// without a push, so a stale entry is either one a live flow's re-key
+/// superseded or the current entry of a cancelled or aborted flow.
+#[derive(Default)]
+pub(crate) struct CompletionHeap {
+    entries: BinaryHeap<HeapEntry>,
+    /// Entries pushed over the heap's lifetime.
+    pushes: u64,
+    /// Stale entries discarded when they surfaced.
+    stale_pops: u64,
+}
+
+impl CompletionHeap {
+    /// Push an entry as is.
+    pub(crate) fn push(&mut self, finish: SimTime, id: FlowId, epoch: u64) {
+        self.pushes += 1;
+        self.entries.push(Reverse((finish, id, epoch)));
+    }
+
+    /// Invalidate `f`'s entries and make its current estimate the one
+    /// valid entry (none while starved: `finish_at == SimTime::MAX`).
+    pub(crate) fn rekey(&mut self, f: &mut Flow, id: FlowId) {
+        f.epoch += 1;
+        if f.finish_at < SimTime::MAX {
+            self.push(f.finish_at, id, f.epoch);
+        }
+    }
+
+    /// Earliest valid entry, discarding stale ones on the way.
+    /// `epoch_of` gives a live flow's current epoch (`None` once gone).
+    pub(crate) fn peek_valid(
+        &mut self,
+        epoch_of: impl Fn(FlowId) -> Option<u64>,
+    ) -> Option<(SimTime, FlowId, u64)> {
+        while let Some(&Reverse((t, id, ep))) = self.entries.peek() {
+            if epoch_of(id) == Some(ep) {
+                return Some((t, id, ep));
+            }
+            self.entries.pop();
+            self.stale_pops += 1;
+        }
+        None
+    }
+
+    /// Drop the earliest entry (after [`Self::peek_valid`] returned it).
+    pub(crate) fn pop(&mut self) {
+        self.entries.pop();
+    }
+
+    /// Drop every entry (the counters keep running).
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
 
 /// Accrue `f`'s progress over `(f.touched, clock]` at its current rate.
 ///
@@ -134,16 +195,20 @@ pub(crate) type HeapEntry = Reverse<(SimTime, FlowId, u64)>;
 /// across modes), so every mode performs the identical float operations.
 /// `to_slot` maps a directed hop to the index into `cum` (global slots
 /// for [`SimNet`], component-local slots for a shard).
+///
+/// Returns `true` when the flow drained inside the window, which moves
+/// its completion estimate to the last bit's arrival. The caller decides
+/// on the re-key: a flow that stays in the network must
+/// [`CompletionHeap::rekey`]; a flow that is leaving skips it and so
+/// leaves no dead entry behind.
 pub(crate) fn materialize<M: Fn(DirLink) -> usize>(
     f: &mut Flow,
-    id: FlowId,
     clock: SimTime,
     cum: &mut [f64],
-    heap: &mut BinaryHeap<HeapEntry>,
     to_slot: M,
-) {
+) -> bool {
     if clock <= f.touched {
-        return;
+        return false;
     }
     let base = f.touched;
     f.touched = clock;
@@ -168,12 +233,21 @@ pub(crate) fn materialize<M: Fn(DirLink) -> usize>(
         if f.remaining_bytes <= 0.0 && f.finish_at != f.earliest_finish {
             // Drain transition: the estimate is final now.
             f.finish_at = f.earliest_finish;
-            f.epoch += 1;
-            heap.push(Reverse((f.finish_at, id, f.epoch)));
+            return true;
         }
     } else if f.rate_bps.is_infinite() {
         // Empty-path flow: delivered instantly, no link bytes.
         f.remaining_bytes = 0.0;
+    }
+    false
+}
+
+/// Remove `id` from one directed slot's (ascending) incidence list.
+fn remove_incidence(list: &mut Vec<FlowId>, id: FlowId) {
+    if let Ok(i) = list.binary_search(&id) {
+        list.remove(i);
+    } else {
+        debug_assert!(false, "flow missing from incidence list");
     }
 }
 
@@ -204,22 +278,27 @@ pub(crate) fn serial_estimate(clock: SimTime, f: &Flow) -> SimTime {
     (ser + f.prop).max(f.earliest_finish)
 }
 
-/// Install a freshly solved rate on `f`. The completion estimate (and
-/// its heap entry) is refreshed only when the rate *value* changed:
-/// under an unchanged rate the estimate is invariant (progress accrues
-/// at exactly that rate), so keeping the stored one avoids rounding
-/// drift — the property that makes incremental and from-scratch
-/// solving bit-identical. Callers must [`materialize`] first when the
-/// rate bits differ.
-pub(crate) fn assign_rate(
+/// Install a freshly solved rate on live flow `f`. Only a change of the
+/// rate *value* does anything: the flow first accrues its progress at
+/// the old rate ([`materialize`], re-keying on a drain), then its
+/// completion estimate (and heap entry) is refreshed. Under an unchanged
+/// rate the estimate is invariant (progress accrues at exactly that
+/// rate), so keeping the stored one avoids rounding drift — the property
+/// that makes incremental and from-scratch solving bit-identical.
+pub(crate) fn assign_rate<M: Fn(DirLink) -> usize>(
     f: &mut Flow,
     id: FlowId,
     rate: f64,
     clock: SimTime,
-    heap: &mut BinaryHeap<HeapEntry>,
+    cum: &mut [f64],
+    heap: &mut CompletionHeap,
+    to_slot: M,
 ) {
     if rate.to_bits() == f.rate_bps.to_bits() {
         return;
+    }
+    if materialize(f, clock, cum, to_slot) {
+        heap.rekey(f, id);
     }
     f.rate_bps = rate;
     if f.remaining_bytes <= 0.0 {
@@ -230,10 +309,7 @@ pub(crate) fn assign_rate(
     let finish = serial_estimate(clock, f);
     if finish != f.finish_at {
         f.finish_at = finish;
-        f.epoch += 1;
-        if finish < SimTime::MAX {
-            heap.push(Reverse((finish, id, f.epoch)));
-        }
+        heap.rekey(f, id);
     }
 }
 
@@ -258,6 +334,12 @@ pub struct SolveStats {
     pub sharded_batches: u64,
     /// Component shards executed across all sharded batches.
     pub shards_run: u64,
+    /// Entries pushed onto the completion heap, each the new valid entry
+    /// of a flow that stays in the network (shard-local heaps are not
+    /// counted).
+    pub heap_pushes: u64,
+    /// Stale completion-heap entries discarded when they surfaced.
+    pub stale_pops: u64,
 }
 
 /// Reusable buffers for building solver inputs and running the component
@@ -315,7 +397,7 @@ pub struct SimNet {
     /// Lazy-invalidation completion heap; doubles as the aggregate tier's
     /// position heap (a single-bottleneck component's next event is its
     /// earliest heap entry).
-    heap: BinaryHeap<HeapEntry>,
+    heap: CompletionHeap,
     /// Generation counter for BFS visit stamps.
     visit_gen: u64,
     ws: SolverWorkspace,
@@ -360,7 +442,7 @@ impl SimNet {
             incidence: vec![Vec::new(); 2 * n],
             dirty: false,
             seed_slots: Vec::new(),
-            heap: BinaryHeap::new(),
+            heap: CompletionHeap::default(),
             visit_gen: 0,
             ws: SolverWorkspace::new(),
             agg: OneRoundSolver::new(),
@@ -409,7 +491,11 @@ impl SimNet {
 
     /// Solver work counters (see [`SolveStats`]).
     pub fn solve_stats(&self) -> SolveStats {
-        self.stats
+        SolveStats {
+            heap_pushes: self.heap.pushes,
+            stale_pops: self.heap.stale_pops,
+            ..self.stats
+        }
     }
 
     /// Current internal clock (last `advance_to` or flow start).
@@ -456,10 +542,12 @@ impl SimNet {
             .sum();
         let prop = SimSpan::from_nanos(prop_ns);
         let hops = path.len();
+        // The new flow's slots seed the next scoped solve.
         for &d in path.iter() {
             self.incidence[slot(d)].push(id);
+            self.seed_slots.push(slot(d));
         }
-        self.mark_dirty_path(&path);
+        self.dirty |= hops > 0;
         let mut f = Flow {
             path,
             remaining_bytes: bytes as f64,
@@ -483,8 +571,7 @@ impl SimNet {
             // Nothing to serialize (or nothing constraining it): the
             // completion estimate is final right now.
             f.finish_at = f.earliest_finish;
-            f.epoch += 1;
-            self.heap.push(Reverse((f.finish_at, id, f.epoch)));
+            self.heap.rekey(&mut f, id);
         }
         self.flows.put(id, f);
         self.tracer.flow_start(now, id.0, tag, bytes, hops);
@@ -506,8 +593,11 @@ impl SimNet {
         let drained = match self.flows.get_mut(id) {
             None => return None,
             Some(f) => {
-                // A cancel is a touch point: accrue before deciding.
-                materialize(f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
+                // A cancel is a touch point: accrue before deciding. Only
+                // a drained flow re-keys, and a drained flow stays.
+                if materialize(f, clock, &mut self.cum_bytes, slot) {
+                    self.heap.rekey(f, id);
+                }
                 f.remaining_bytes <= 0.0 && !f.path.is_empty()
             }
         };
@@ -516,7 +606,6 @@ impl SimNet {
         }
         let f = self.flows.remove(id).expect("flow looked up just above");
         self.unlink(id, &f.path);
-        self.mark_dirty_path(&f.path);
         self.tracer.flow_abort(now, id.0, "cancelled");
         Some(f)
     }
@@ -549,13 +638,8 @@ impl SimNet {
     /// flow keeps exactly one valid entry).
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         self.solve_if_dirty();
-        while let Some(&Reverse((t, id, ep))) = self.heap.peek() {
-            match self.flow(id) {
-                Some(f) if f.epoch == ep => return Some(t.max(self.clock)),
-                _ => {
-                    self.heap.pop();
-                }
-            }
+        if let Some((t, _)) = self.peek_valid() {
+            return Some(t.max(self.clock));
         }
         if self.flows.is_empty() {
             None
@@ -599,9 +683,9 @@ impl SimNet {
             self.clock = self.clock.max(t);
             let clock = self.clock;
             let mut f = self.flows.remove(id).expect("front flow is live");
-            materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
+            // Leaving: accrue, but never re-key a flow that is gone.
+            materialize(&mut f, clock, &mut self.cum_bytes, slot);
             self.unlink(id, &f.path);
-            self.mark_dirty_path(&f.path);
             f.remaining_bytes = 0.0;
             done.push((id, f));
         }
@@ -712,10 +796,10 @@ impl SimNet {
         self.dir_caps[l.idx() * 2] = cap;
         self.dir_caps[l.idx() * 2 + 1] = cap;
         // Seed both directions: the scoped BFS pulls in exactly the
-        // component(s) whose allocation the new capacity can affect.
-        self.dirty = true;
-        self.seed_slots.push(l.idx() * 2);
-        self.seed_slots.push(l.idx() * 2 + 1);
+        // component(s) whose allocation the new capacity can affect. A
+        // direction without flows has nothing to re-rate and retires.
+        self.seed_or_retire(l.idx() * 2);
+        self.seed_or_retire(l.idx() * 2 + 1);
         let crossing = || {
             self.flows
                 .iter()
@@ -749,10 +833,10 @@ impl SimNet {
             .into_iter()
             .map(|id| {
                 let mut f = self.flows.remove(id).expect("doomed flow present");
-                // An abort is a touch point: hand back accrued progress.
-                materialize(&mut f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
+                // An abort is a touch point: hand back accrued progress
+                // (no re-key, the flow is leaving).
+                materialize(&mut f, clock, &mut self.cum_bytes, slot);
                 self.unlink(id, &f.path);
-                self.mark_dirty_path(&f.path);
                 (id, f)
             })
             .collect()
@@ -769,42 +853,40 @@ impl SimNet {
         self.flows.get(id).expect("id names a live flow")
     }
 
-    /// Record that a flow over `path` was added or removed: its directed
-    /// slots seed the next component-scoped re-solve.
-    fn mark_dirty_path(&mut self, path: &[DirLink]) {
-        if path.is_empty() {
-            // Empty paths never contend for bandwidth.
-            return;
-        }
-        self.dirty = true;
-        for &d in path {
-            self.seed_slots.push(slot(d));
+    /// Seed directed slot `s` for the next component-scoped re-solve if
+    /// it still carries flows. A slot left without flows has nothing to
+    /// re-rate: it **retires** on the spot — its allocated rate drops to
+    /// zero now and it seeds nothing. A retirement counts as the one-round
+    /// aggregate solve the scoped pass would have run on the empty
+    /// component, so the work counters do not depend on this shortcut.
+    /// (Full-resolve mode re-solves globally and seeds every change.)
+    fn seed_or_retire(&mut self, s: usize) {
+        if self.full_resolve || !self.incidence[s].is_empty() {
+            self.dirty = true;
+            self.seed_slots.push(s);
+        } else {
+            self.link_rate[s] = 0.0;
+            self.stats.scoped_solves += 1;
+            self.stats.aggregate_solves += 1;
         }
     }
 
-    /// Remove `id` from the incidence lists of every hop of `path`.
+    /// Take a departing flow (completed, cancelled or aborted) off the
+    /// incidence list of every hop of `path`, then seed or retire each
+    /// hop's slot ([`Self::seed_or_retire`]).
     fn unlink(&mut self, id: FlowId, path: &[DirLink]) {
         for &d in path {
-            let v = &mut self.incidence[slot(d)];
-            if let Ok(i) = v.binary_search(&id) {
-                v.remove(i);
-            } else {
-                debug_assert!(false, "flow missing from incidence list");
-            }
+            remove_incidence(&mut self.incidence[slot(d)], id);
+            self.seed_or_retire(slot(d));
         }
     }
 
     /// Earliest valid heap entry, discarding stale ones on the way.
     fn peek_valid(&mut self) -> Option<(SimTime, FlowId)> {
-        while let Some(&Reverse((t, id, ep))) = self.heap.peek() {
-            match self.flow(id) {
-                Some(f) if f.epoch == ep => return Some((t, id)),
-                _ => {
-                    self.heap.pop();
-                }
-            }
-        }
-        None
+        let flows = &self.flows;
+        self.heap
+            .peek_valid(|id| flows.get(id).map(|f| f.epoch))
+            .map(|(t, id, _)| (t, id))
     }
 
     /// Re-solve whatever subset of the rate state is out of date.
@@ -857,10 +939,15 @@ impl SimNet {
                     self.link_rate[slot(d)] += rate;
                 }
             }
-            if rate.to_bits() != f.rate_bps.to_bits() {
-                materialize(f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
-                assign_rate(f, id, rate, clock, &mut self.heap);
-            }
+            assign_rate(
+                f,
+                id,
+                rate,
+                clock,
+                &mut self.cum_bytes,
+                &mut self.heap,
+                slot,
+            );
         }
     }
 
@@ -868,9 +955,10 @@ impl SimNet {
     /// from the seed slots, then solve only the reached flows. Flows on
     /// disjoint links keep their rates — sound because the weighted
     /// max-min allocation is unique and decomposes across connected
-    /// components (DESIGN.md §9). The aggregate tier settles
-    /// single-bottleneck components in one round; only congested
-    /// components hand off to the exact water-filling solver.
+    /// components (DESIGN.md §9). A one-flow component is rated in closed
+    /// form, the aggregate tier settles single-bottleneck components in
+    /// one round, and only congested components hand off to the exact
+    /// water-filling solver.
     fn solve_scoped(&mut self) {
         self.visit_gen += 1;
         let gen = self.visit_gen;
@@ -884,8 +972,9 @@ impl SimNet {
         // aggregate tier can settle.
         for si in 0..self.seed_slots.len() {
             let seed = self.seed_slots[si];
-            if self.scratch.link_stamp[seed] == gen {
-                // Already covered by an earlier seed's component.
+            if self.scratch.link_stamp[seed] == gen || self.incidence[seed].is_empty() {
+                // Already covered by an earlier seed's component, or its
+                // flows left after it was seeded (`unlink` retired it).
                 continue;
             }
             self.stats.scoped_solves += 1;
@@ -916,35 +1005,38 @@ impl SimNet {
                     }
                 }
             }
-            if scratch.ids.is_empty() {
-                // The last flow on these slots just left: nothing to rate,
-                // only their allocated rate drops to zero. Counted as an
-                // aggregate solve, since the one-round tier settles an
-                // empty system trivially: the work counters must not
-                // depend on this shortcut.
-                for &s in &scratch.comp_links {
-                    self.link_rate[s] = 0.0;
-                }
-                self.stats.aggregate_solves += 1;
-                continue;
-            }
-            // Ascending-id order so per-link weight sums accumulate in
-            // exactly the order a full solve would use (float addition
-            // order matters for bit-identity).
-            scratch.ids.sort_unstable();
-            scratch.flat.clear();
-            scratch.spans.clear();
-            for &id in &scratch.ids {
-                let f = self.flows.get(id).expect("scoped flow is live");
-                scratch.spans.push(FlowSpan {
-                    start: scratch.flat.len() as u32,
-                    len: f.path.len() as u32,
-                    weight: f.weight,
-                });
-                scratch.flat.extend(f.path.iter().map(|&d| slot(d)));
-            }
             self.stats.flows_rated += scratch.ids.len() as u64;
-            let rates: &[f64] =
+            // The component size picks the tier: a lone flow is rated in
+            // closed form (bitwise what the aggregate tier would give it),
+            // without building solver input.
+            let lone = match scratch.ids[..] {
+                [id] => {
+                    let f = self.flows.get(id).expect("scoped flow is live");
+                    single_flow_rate(&self.dir_caps, f.path.iter().map(|&d| slot(d)), f.weight)
+                }
+                _ => None,
+            };
+            let one: [f64; 1];
+            let rates: &[f64] = if let Some(rate) = lone {
+                self.stats.aggregate_solves += 1;
+                one = [rate];
+                &one
+            } else {
+                // Ascending-id order so per-link weight sums accumulate in
+                // exactly the order a full solve would use (float addition
+                // order matters for bit-identity).
+                scratch.ids.sort_unstable();
+                scratch.flat.clear();
+                scratch.spans.clear();
+                for &id in &scratch.ids {
+                    let f = self.flows.get(id).expect("scoped flow is live");
+                    scratch.spans.push(FlowSpan {
+                        start: scratch.flat.len() as u32,
+                        len: f.path.len() as u32,
+                        weight: f.weight,
+                    });
+                    scratch.flat.extend(f.path.iter().map(|&d| slot(d)));
+                }
                 match self
                     .agg
                     .try_solve(&self.dir_caps, &scratch.flat, &scratch.spans)
@@ -954,7 +1046,8 @@ impl SimNet {
                         r
                     }
                     None => self.ws.solve(&self.dir_caps, &scratch.flat, &scratch.spans),
-                };
+                }
+            };
             for &s in &scratch.comp_links {
                 self.link_rate[s] = 0.0;
             }
@@ -970,10 +1063,15 @@ impl SimNet {
                         self.link_rate[slot(d)] += rate;
                     }
                 }
-                if rate.to_bits() != f.rate_bps.to_bits() {
-                    materialize(f, id, clock, &mut self.cum_bytes, &mut self.heap, slot);
-                    assign_rate(f, id, rate, clock, &mut self.heap);
-                }
+                assign_rate(
+                    f,
+                    id,
+                    rate,
+                    clock,
+                    &mut self.cum_bytes,
+                    &mut self.heap,
+                    slot,
+                );
             }
         }
     }
@@ -1006,23 +1104,17 @@ impl SimNet {
         // flow state carries the truth, and shard-local heaps are rebuilt
         // from it — but below the threshold they are simply re-pushed.
         let mut pending: Vec<(SimTime, FlowId, u64)> = Vec::new();
-        while let Some(&Reverse((t, id, ep))) = self.heap.peek() {
-            match self.flow(id) {
-                Some(f) if f.epoch == ep => {
-                    if t > now {
-                        break;
-                    }
-                    self.heap.pop();
-                    pending.push((t, id, ep));
-                }
-                _ => {
-                    self.heap.pop();
-                }
+        let flows = &self.flows;
+        while let Some((t, id, ep)) = self.heap.peek_valid(|id| flows.get(id).map(|f| f.epoch)) {
+            if t > now {
+                break;
             }
+            self.heap.pop();
+            pending.push((t, id, ep));
         }
         if pending.len() <= self.shard_threshold {
             for &(t, id, ep) in &pending {
-                self.heap.push(Reverse((t, id, ep)));
+                self.heap.push(t, id, ep);
             }
             return false;
         }
@@ -1076,7 +1168,7 @@ impl SimNet {
                 let id = t.ids[i];
                 if let Some(f) = f {
                     if f.epoch != t.pre_epoch[i] && f.finish_at < SimTime::MAX {
-                        self.heap.push(Reverse((f.finish_at, id, f.epoch)));
+                        self.heap.push(f.finish_at, id, f.epoch);
                     }
                     self.flows.put(id, f);
                 }
@@ -1103,7 +1195,11 @@ impl SimNet {
             if let Some(&(t2, id2, _)) = heads[li].as_ref() {
                 merge.push(Reverse((t2, id2, li)));
             }
-            self.unlink(id, &f.path);
+            // The shard already left the slot rates exact: only the
+            // incidence lists still name the completed flow.
+            for &d in f.path.iter() {
+                remove_incidence(&mut self.incidence[slot(d)], id);
+            }
             done.push((id, f));
         }
         self.clock = now;
@@ -1276,6 +1372,33 @@ mod tests {
             }
             assert_eq!(net.active_flow_count(), 0);
         }
+    }
+
+    /// Completion-heap invariant: a flow leaving the network is never
+    /// re-keyed. When no component ever re-rates a live flow — one
+    /// transfer at a time, then disjoint transfers side by side — each
+    /// flow pushes exactly one entry (its first rate) and none goes stale.
+    #[test]
+    fn leaving_flows_leave_no_dead_heap_entries() {
+        let (g, links) = clusters(4);
+        let mut net = SimNet::new(&g);
+        let mut started = 0;
+        let mut now = SimTime::ZERO;
+        for k in 0..8u64 {
+            net.start_flow(now, fwd(&links[0]), 1_000_000 + 1_000 * k, k);
+            started += 1;
+            now = net.next_event_time().unwrap();
+            assert_eq!(advance(&mut net, now).len(), 1);
+        }
+        for (ci, pair) in links.iter().enumerate() {
+            net.start_flow(now, fwd(pair), 500_000 * (ci as u64 + 1), 100 + ci as u64);
+            started += 1;
+        }
+        let done = advance(&mut net, now + SimSpan::from_secs(1));
+        assert_eq!(done.len(), links.len());
+        let s = net.solve_stats();
+        assert_eq!(s.heap_pushes, started, "one entry per flow: {s:?}");
+        assert_eq!(s.stale_pops, 0, "no dead entries: {s:?}");
     }
 
     #[test]

@@ -18,11 +18,9 @@
 //! the minimum over the components' next pops.
 
 use crate::fairshare::{FlowSpan, OneRoundSolver, SolverWorkspace};
-use crate::net::{self, assign_rate, materialize, Flow, FlowId, HeapEntry};
+use crate::net::{self, assign_rate, materialize, CompletionHeap, Flow, FlowId};
 use hs_des::SimTime;
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Per-worker solver scratch, reused across every shard a thread runs.
 /// A typical shard is a handful of flows; allocating fresh solver
@@ -33,7 +31,7 @@ use std::collections::BinaryHeap;
 struct ShardScratch {
     ws: SolverWorkspace,
     agg: OneRoundSolver,
-    heap: BinaryHeap<HeapEntry>,
+    heap: CompletionHeap,
     flat: Vec<usize>,
     spans: Vec<FlowSpan>,
     live: Vec<usize>,
@@ -109,7 +107,7 @@ fn run_shard_with(scratch: &mut ShardScratch, mut t: ShardTask, now: SimTime) ->
     for (i, f) in t.flows.iter().enumerate() {
         let f = f.as_ref().expect("shard starts with all flows live");
         if f.finish_at < SimTime::MAX {
-            heap.push(Reverse((f.finish_at, t.ids[i], f.epoch)));
+            heap.push(f.finish_at, t.ids[i], f.epoch);
         }
     }
     let mut done: Vec<(SimTime, FlowId, Flow)> = Vec::new();
@@ -119,24 +117,19 @@ fn run_shard_with(scratch: &mut ShardScratch, mut t: ShardTask, now: SimTime) ->
     loop {
         // Pop the earliest valid entry (same lazy invalidation as the
         // global heap).
-        let (ti, id) = loop {
-            let Some(&Reverse((ti, id, ep))) = heap.peek() else {
-                // All remaining flows starved or none left.
-                let out = ShardOutcome {
-                    done,
-                    task: t,
-                    solves,
-                    aggregate_solves,
-                };
-                return finishup(out, now, clock);
+        let (ids, flows) = (&t.ids, &t.flows);
+        let Some((ti, id, _)) = heap.peek_valid(|id| {
+            let i = ids.binary_search(&id).expect("heap names a shard flow");
+            flows[i].as_ref().map(|f| f.epoch)
+        }) else {
+            // All remaining flows starved or none left.
+            let out = ShardOutcome {
+                done,
+                task: t,
+                solves,
+                aggregate_solves,
             };
-            let i = t.ids.binary_search(&id).expect("heap names a shard flow");
-            match t.flows[i].as_ref() {
-                Some(f) if f.epoch == ep => break (ti, id),
-                _ => {
-                    heap.pop();
-                }
-            }
+            return finishup(out, now, clock);
         };
         if ti > now {
             let out = ShardOutcome {
@@ -152,7 +145,8 @@ fn run_shard_with(scratch: &mut ShardScratch, mut t: ShardTask, now: SimTime) ->
         let i = t.ids.binary_search(&id).expect("heap names a shard flow");
         let mut f = t.flows[i].take().expect("front flow is live");
         let slots = &t.slots;
-        materialize(&mut f, id, clock, &mut t.cum, heap, |d| {
+        // Leaving: accrue without a re-key.
+        materialize(&mut f, clock, &mut t.cum, |d| {
             local_slot(slots, net::slot(d))
         });
         f.remaining_bytes = 0.0;
@@ -194,7 +188,7 @@ fn solve_shard(
     clock: SimTime,
     ws: &mut SolverWorkspace,
     agg: &mut OneRoundSolver,
-    heap: &mut BinaryHeap<HeapEntry>,
+    heap: &mut CompletionHeap,
     flat: &mut Vec<usize>,
     spans: &mut Vec<FlowSpan>,
     live: &mut Vec<usize>,
@@ -232,12 +226,9 @@ fn solve_shard(
                 t.rate[local_slot(&t.slots, net::slot(d))] += rate;
             }
         }
-        if rate.to_bits() != f.rate_bps.to_bits() {
-            let slots = &t.slots;
-            materialize(f, id, clock, &mut t.cum, heap, |d| {
-                local_slot(slots, net::slot(d))
-            });
-            assign_rate(f, id, rate, clock, heap);
-        }
+        let slots = &t.slots;
+        assign_rate(f, id, rate, clock, &mut t.cum, heap, |d| {
+            local_slot(slots, net::slot(d))
+        });
     }
 }

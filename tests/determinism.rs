@@ -760,9 +760,51 @@ fn golden_contended_testbed_run_with_faults() {
     let mut d = hero_deploy(3.0).with_faults(faults);
     d.ina_capacity_per_switch = 1;
     d.background = Some((20.0, 1 << 28));
-    let r = d.serve_trace(13, 3.0, SimTime::from_secs(10));
+    let (r, work) = serve_trace_with_solve_stats(&d, 13, 3.0, SimTime::from_secs(10));
     assert!(r.arrived > 0 && r.aborted_flows > 0, "faults never bit");
     assert_eq!(report_digest(&r), "f65cd1c1049fac4c");
+    // The fabric's exact work counters. The solve counts equal the ones
+    // computed before slots retired eagerly and lone flows were rated in
+    // closed form; the heap counts were first taken when leaving flows
+    // stopped pushing dead entries. Any change here is a visible diff
+    // to explain.
+    assert_eq!(
+        work,
+        hs_simnet::SolveStats {
+            scoped_solves: 24_090,
+            aggregate_solves: 23_787,
+            flows_rated: 12_628,
+            heap_pushes: 11_768,
+            stale_pops: 885,
+            ..Default::default()
+        }
+    );
+}
+
+/// [`Deployment::serve_trace`] driven by hand, so the run's network
+/// solve counters can be read once it ends. The golden digest checks it
+/// is the same run.
+fn serve_trace_with_solve_stats(
+    d: &Deployment,
+    seed: u64,
+    rate: f64,
+    duration: SimTime,
+) -> (SimReport, hs_simnet::SolveStats) {
+    let mut rng = SeedSplitter::new(seed).stream("trace");
+    let trace = Trace::generate(&d.workload, &mut Poisson::new(rate), &mut rng, duration);
+    let margin = duration
+        .saturating_since(SimTime::ZERO)
+        .mul_f64(0.25)
+        .min(hs_des::SimSpan::from_secs(60));
+    let mut sim = hs_cluster::ClusterSim::new(
+        &d.topology.graph,
+        d.all_pairs(),
+        d.cluster_config(),
+        &trace,
+        d.strategy(),
+    );
+    let r = sim.run(duration + margin);
+    (r, sim.solve_stats())
 }
 
 /// Sizes both pools from the arrival count a monitor tick shows it, so
