@@ -13,8 +13,9 @@
 //!
 //! Every run's report fingerprint (every scalar, every per-request
 //! metric, every memory sample, folded bit-for-bit) must be identical —
-//! the §12 merge contract surfacing at the top of the stack. Writes
-//! `results/scale_1m.json`.
+//! the §12 merge contract surfacing at the top of the stack. Each row
+//! also records the link monitor's exact work, `monitor_links_visited`
+//! (DESIGN.md §9). Writes `results/scale_1m.json`.
 //!
 //! `SCALE_REQUESTS` overrides the request count (default 1 000 000) for
 //! quick local runs.
@@ -85,7 +86,9 @@ fn fingerprint(r: &SimReport) -> u64 {
     h.finish()
 }
 
-fn serve(d: &Deployment, trace: &Trace, horizon: SimTime, threshold: usize) -> SimReport {
+/// Serve `trace` once; returns the report and the links the monitor
+/// visited over the run.
+fn serve(d: &Deployment, trace: &Trace, horizon: SimTime, threshold: usize) -> (SimReport, u64) {
     let margin = SimSpan::from_secs_f64((horizon.as_secs_f64() * 0.25).min(60.0));
     let mut sim = ClusterSim::new(
         &d.topology.graph,
@@ -95,7 +98,8 @@ fn serve(d: &Deployment, trace: &Trace, horizon: SimTime, threshold: usize) -> S
         d.strategy(),
     );
     sim.set_shard_threshold(threshold);
-    sim.run(horizon + margin)
+    let rep = sim.run(horizon + margin);
+    (rep, sim.monitor_links_visited())
 }
 
 fn main() {
@@ -137,7 +141,7 @@ fn main() {
     ] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         let wall = std::time::Instant::now();
-        let rep = serve(&d, &trace, horizon, threshold);
+        let (rep, links_visited) = serve(&d, &trace, horizon, threshold);
         let wall_s = wall.elapsed().as_secs_f64();
         let fp = fingerprint(&rep);
         prints.push(fp);
@@ -159,6 +163,7 @@ fn main() {
                 "wall_s": wall_s,
                 "req_per_sec_wall": rep.arrived as f64 / wall_s,
                 "fingerprint": format!("{fp:016x}"),
+                "monitor_links_visited": links_visited,
             }),
         );
     }

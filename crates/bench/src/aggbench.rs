@@ -397,7 +397,7 @@ pub fn run_agg_bench(graph: &Graph, ap: &AllPairs, cfg: &AggBenchConfig, seed: u
                     }
                 }
                 Ev::Monitor => {
-                    monitor.poll(&net, now);
+                    monitor.poll(&mut net, now);
                     util.copy_from_slice(monitor.snapshot());
                     hero.on_monitor(&util, now);
                     events.push(now + hs_des::SimSpan::from_millis(10), Ev::Monitor);

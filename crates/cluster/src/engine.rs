@@ -579,7 +579,7 @@ impl ClusterSim {
                 }
             }
             Ev::MonitorTick => {
-                self.monitor.poll(&self.net, self.now);
+                self.monitor.poll(&mut self.net, self.now);
                 self.util_snapshot.copy_from_slice(self.monitor.snapshot());
                 self.strategy.on_monitor(&self.util_snapshot, self.now);
                 self.sample_memory();
@@ -1505,20 +1505,22 @@ impl ClusterSim {
                     }
                 }
                 self.kv[kv_idx].materialize(live_growth);
+                self.instances[inst].context_tokens += live_growth;
                 if any_finished {
                     // The requests that just finished are exactly the
                     // active ones in phase Done; release them in batch
                     // order as they leave the batch.
                     let (reqs, kv) = (&self.reqs, &mut self.kv[kv_idx]);
-                    self.instances[inst].active.retain(|id| {
+                    let instance = &mut self.instances[inst];
+                    let context = &mut instance.context_tokens;
+                    instance.active.retain(|id| {
                         let r = &reqs[id.0 as usize];
                         if r.phase != ReqPhase::Done {
                             return true;
                         }
-                        kv.release(
-                            r.reserved_kv_tokens(),
-                            r.req.input_tokens as u64 + r.tokens_generated as u64,
-                        );
+                        let tokens = r.req.input_tokens as u64 + r.tokens_generated as u64;
+                        kv.release(r.reserved_kv_tokens(), tokens);
+                        *context -= tokens;
                         false
                     });
                     self.retry_admissions();
@@ -1734,20 +1736,34 @@ impl ClusterSim {
     }
 
     fn start_decode_iteration(&mut self, inst: usize) {
-        let joining = std::mem::take(&mut self.instances[inst].joining);
-        self.instances[inst].active.extend(joining);
-        if self.instances[inst].active.is_empty() {
-            self.instances[inst].phase = InstPhase::Idle;
+        let (instance, reqs) = (&mut self.instances[inst], &self.reqs);
+        for id in &instance.joining {
+            let r = &reqs[id.0 as usize];
+            instance.context_tokens += r.req.input_tokens as u64 + r.tokens_generated as u64;
+        }
+        instance.active.append(&mut instance.joining);
+        if instance.active.is_empty() {
+            instance.phase = InstPhase::Idle;
             return;
         }
-        let mut stats = BatchStats::default();
-        for id in &self.instances[inst].active {
-            let r = &self.reqs[id.0 as usize];
-            stats.push(
-                r.req.input_tokens as u64 + r.tokens_generated as u64,
-                r.req.output_tokens as u64,
-            );
-        }
+        debug_assert_eq!(
+            instance.context_tokens,
+            instance
+                .active
+                .iter()
+                .map(|id| {
+                    let r = &reqs[id.0 as usize];
+                    r.req.input_tokens as u64 + r.tokens_generated as u64
+                })
+                .sum::<u64>(),
+            "incremental decode context diverged from the batch"
+        );
+        // Eq. 13 reads the batch's context total `K_in` alone.
+        let stats = BatchStats {
+            q: instance.active.len() as u32,
+            k_in: instance.context_tokens,
+            ..BatchStats::default()
+        };
         let spec = &self.instances[inst].spec;
         let t_c = decode_latency_secs(
             &self.cfg.coef,
@@ -1901,6 +1917,13 @@ impl ClusterSim {
     /// out of [`SimReport`], whose JSON the golden digests pin.
     pub fn solve_stats(&self) -> hs_simnet::SolveStats {
         self.net.solve_stats()
+    }
+
+    /// Links the utilization monitor has visited over all its polls: its
+    /// exact work counter, kept out of [`SimReport`] like
+    /// [`Self::solve_stats`].
+    pub fn monitor_links_visited(&self) -> u64 {
+        self.monitor.links_visited()
     }
 
     /// Read-only view of the request states (tests).

@@ -99,6 +99,10 @@ pub struct Instance {
     /// Decode: requests admitted whose KV landed mid-iteration; joined at
     /// the next iteration boundary.
     pub joining: Vec<RequestId>,
+    /// Decode: Σ (input + generated tokens) over `active`, kept exactly
+    /// as requests join, generate and finish — Eq. 13's `K_in` without a
+    /// walk over the batch each iteration.
+    pub(crate) context_tokens: u64,
     /// Iterations completed (diagnostics).
     pub iterations: u64,
     /// Elasticity state (autoscaling; see [`crate::autoscale`]).
@@ -123,6 +127,7 @@ impl Instance {
             batch: Vec::new(),
             active: Vec::new(),
             joining: Vec::new(),
+            context_tokens: 0,
             iterations: 0,
             state: PoolState::Active,
             occupied_since: Some(SimTime::ZERO),

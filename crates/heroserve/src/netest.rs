@@ -399,31 +399,33 @@ pub fn estimate_network_latency(input: &NetestInput<'_>, rng: &mut SmallRng) -> 
     }
 }
 
-/// Residual per-link bandwidth `B(e)` under a utilization snapshot:
-/// `capacity × (1 − util)`, floored at 1 % of capacity so a saturated
-/// link yields a large-but-finite transfer estimate instead of a
-/// division blow-up (the flow would still trickle through under
-/// max-min sharing).
-pub fn available_bandwidth(g: &Graph, link_util: &[f64]) -> Vec<f64> {
+/// Residual bandwidth `B(e)` of a link of capacity `cap` under
+/// utilization `util`: `cap × (1 − util)` with `util` clamped to
+/// `[0, 1]`, floored at 1 % of capacity so a saturated link yields a
+/// large-but-finite transfer estimate instead of a division blow-up (the
+/// flow would still trickle through under max-min sharing).
+pub(crate) fn residual_bps(cap: f64, util: f64) -> f64 {
+    (cap * (1.0 - util.clamp(0.0, 1.0))).max(cap * 0.01)
+}
+
+/// [`residual_bps`] for every link of `g`; a link past the end of
+/// `link_util` counts as idle.
+#[cfg(test)]
+pub(crate) fn available_bandwidth(g: &Graph, link_util: &[f64]) -> Vec<f64> {
     g.capacities()
         .iter()
         .enumerate()
-        .map(|(i, &cap)| {
-            let u = link_util.get(i).copied().unwrap_or(0.0).clamp(0.0, 1.0);
-            (cap * (1.0 - u)).max(cap * 0.01)
-        })
+        .map(|(i, &cap)| residual_bps(cap, link_util.get(i).copied().unwrap_or(0.0)))
         .collect()
 }
 
 /// Estimated completion time of a striped KV-cache shipment from
-/// `src_gpus` to `dst_gpus` over the current residual bandwidth: the
+/// `src_gpus` to `dst_gpus` over the residual bandwidth `avail`: the
 /// stripes (Eq. 15 rank pairs) run in parallel, so the shipment finishes
-/// with its slowest stripe. This is the network term of the NetKV-style
-/// decode-selection score — unlike a pure queue-length heuristic it sees
-/// that an NVLink-local copy is ~100× cheaper than a congested Ethernet
-/// hop. The stripes are walked in place ([`hs_cluster::stripes`]), so an
-/// estimate allocates nothing.
-pub fn kv_transfer_estimate(
+/// with its slowest stripe. The oracle of the scheduler's compiled
+/// routes, which must reproduce it bit for bit.
+#[cfg(test)]
+pub(crate) fn kv_transfer_estimate(
     g: &Graph,
     ap: &AllPairs,
     src_gpus: &[NodeId],

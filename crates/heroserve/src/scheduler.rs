@@ -25,7 +25,7 @@
 //! with the same float additions in the same order, so the refreshed
 //! penalties are bit for bit those of the pairwise formula.
 
-use crate::netest::{available_bandwidth, kv_transfer_estimate};
+use crate::netest::residual_bps;
 use crate::policy::{build_policies, netkv_score, KvSelectParams, Policy};
 use hs_cluster::{BusyPolicy, CommCtx, CommStrategy, KvCandidate, KvChoice, KvCtx};
 use hs_collective::Scheme;
@@ -302,6 +302,127 @@ fn sharing_ratios(
     }
 }
 
+/// NetKV's transfer estimator: each covered (src, dst) GPU pair's
+/// all-pairs route compiled once, on first use, into its link indices,
+/// and per link its latency and its residual bandwidth, the latter
+/// updated in place when the utilization it was computed from changes.
+///
+/// A hop costs `x / bw + lat` with `x = bytes × 8`, `bw` the residual
+/// bandwidth clamped at 1 bit/s and `lat = latency_ns × 1e-9`, and the
+/// hops are added in path order: the very operations of
+/// `path_transfer_secs`, so an estimate is bit for bit that of walking
+/// the `Path` and its `Link`s.
+struct KvRoutes {
+    /// Covered-node count of the `AllPairs` the routes come from; pair
+    /// `(i, j)` of covered indices is entry `i * m + j`.
+    m: usize,
+    /// Per pair: where its route starts in `hops`, or
+    /// [`Self::UNCOMPILED`].
+    routes: Vec<u32>,
+    /// The compiled routes back to back, each its hop count followed by
+    /// its link indices.
+    hops: Vec<u32>,
+    links: Vec<KvLink>,
+}
+
+/// What a KV estimate reads of one link.
+struct KvLink {
+    /// The utilization bits `bw` was computed from. A hop whose link
+    /// reads a different utilization in the caller's snapshot recomputes
+    /// `bw` first, so a snapshot change redoes only the links the next
+    /// estimates cross, and no call compares the whole snapshot.
+    util: u64,
+    /// `residual_bps(cap, util).max(1.0)`.
+    bw: f64,
+    /// Propagation latency, seconds.
+    lat: f64,
+    /// Capacity, bits/s.
+    cap: f64,
+}
+
+impl KvRoutes {
+    const UNCOMPILED: u32 = u32::MAX;
+
+    fn new(g: &Graph, ap: &AllPairs) -> Self {
+        let m = ap.nodes().len();
+        let links = g
+            .links()
+            .map(|(_, l)| KvLink {
+                util: 0.0f64.to_bits(),
+                bw: residual_bps(l.capacity_bps, 0.0).max(1.0),
+                lat: l.latency_ns as f64 * 1e-9,
+                cap: l.capacity_bps,
+            })
+            .collect();
+        KvRoutes {
+            m,
+            routes: vec![Self::UNCOMPILED; m * m],
+            hops: Vec::new(),
+            links,
+        }
+    }
+
+    /// Estimated completion time of a striped KV shipment from `src` to
+    /// `dst` GPUs under the utilization snapshot `util` (a link past its
+    /// end counts as idle): the slowest Eq. 15 stripe over the residual
+    /// bandwidth. Stripes touching an uncovered GPU are left out.
+    fn estimate(
+        &mut self,
+        ap: &AllPairs,
+        src: &[NodeId],
+        dst: &[NodeId],
+        bytes: u64,
+        util: &[f64],
+    ) -> f64 {
+        if let ([s], [d]) = (src, dst) {
+            // TP1 → TP1: a single stripe with every byte, or none when the
+            // pair is co-located or there is nothing to ship.
+            if s == d || bytes == 0 {
+                return 0.0;
+            }
+            return self
+                .route_secs(ap, *s, *d, bytes, util)
+                .map_or(0.0, |t| 0.0f64.max(t));
+        }
+        hs_cluster::stripes(src, dst, bytes)
+            .filter_map(|st| self.route_secs(ap, st.src, st.dst, st.bytes, util))
+            .fold(0.0f64, f64::max)
+    }
+
+    /// Seconds to move `bytes` over the route from `a` to `b`, compiling
+    /// it on first use; `None` if either end is not covered.
+    fn route_secs(
+        &mut self,
+        ap: &AllPairs,
+        a: NodeId,
+        b: NodeId,
+        bytes: u64,
+        util: &[f64],
+    ) -> Option<f64> {
+        let pair = ap.index(a)? * self.m + ap.index(b)?;
+        if self.routes[pair] == Self::UNCOMPILED {
+            let links = &ap.path(a, b).links;
+            self.routes[pair] = self.hops.len() as u32;
+            self.hops.push(links.len() as u32);
+            self.hops.extend(links.iter().map(|l| l.0));
+        }
+        let start = self.routes[pair] as usize + 1;
+        let len = self.hops[start - 1] as usize;
+        let x = bytes as f64 * 8.0;
+        let mut t = 0.0;
+        for &l in &self.hops[start..start + len] {
+            let u = util.get(l as usize).copied().unwrap_or(0.0);
+            let link = &mut self.links[l as usize];
+            if link.util != u.to_bits() {
+                link.util = u.to_bits();
+                link.bw = residual_bps(link.cap, u).max(1.0);
+            }
+            t += x / link.bw + link.lat;
+        }
+        Some(t)
+    }
+}
+
 /// The HeroServe online scheduler, pluggable into the cluster simulator.
 pub struct HeroScheduler {
     graph: Graph,
@@ -311,13 +432,8 @@ pub struct HeroScheduler {
     /// Keyed in group-id order: `on_monitor` walks every table and its
     /// visit order reaches the trace stream.
     tables: BTreeMap<u64, PolicyTable>,
-    /// NetKV's residual bandwidth per link, `available_bandwidth(graph,
-    /// kv_avail_util)`. The engine's utilization snapshot changes only at
-    /// monitor ticks, so admissions between two ticks share one vector;
-    /// any other snapshot rebuilds it.
-    kv_avail: Vec<f64>,
-    /// The utilization snapshot `kv_avail` was computed from.
-    kv_avail_util: Vec<f64>,
+    /// NetKV's compiled routes and residual bandwidth.
+    kv: KvRoutes,
     /// Cached alternative routes per endpoint pair (Yen's k-shortest),
     /// for the point-to-point path policies of Fig. 5. Ordered so fault
     /// invalidation sweeps are deterministic.
@@ -334,16 +450,14 @@ impl HeroScheduler {
     /// INA switches (reuse the planner's all-pairs structures).
     pub fn new(graph: &Graph, ap: AllPairs, params: SchedulerParams) -> Self {
         let ina_switches = graph.ina_switches();
-        let kv_avail_util = vec![0.0; graph.link_count()];
-        let kv_avail = available_bandwidth(graph, &kv_avail_util);
+        let kv = KvRoutes::new(graph, &ap);
         HeroScheduler {
             graph: graph.clone(),
             ap,
             ina_switches,
             params,
             tables: BTreeMap::new(),
-            kv_avail,
-            kv_avail_util,
+            kv,
             route_cache: BTreeMap::new(),
             dead_links: FxHashSet::default(),
             tracer: hs_obs::Tracer::noop(),
@@ -521,28 +635,11 @@ impl CommStrategy for HeroScheduler {
         if self.params.kv_select != KvSelection::NetKv {
             return None;
         }
-        // Bitwise, and without early exit so the compare vectorizes.
-        let same_snapshot = self.kv_avail_util.len() == ctx.link_util.len()
-            && self
-                .kv_avail_util
-                .iter()
-                .zip(ctx.link_util)
-                .fold(true, |eq, (a, b)| eq & (a.to_bits() == b.to_bits()));
-        if !same_snapshot {
-            self.kv_avail_util.clear();
-            self.kv_avail_util.extend_from_slice(ctx.link_util);
-            self.kv_avail = available_bandwidth(&self.graph, ctx.link_util);
-        }
         let mut best: Option<(f64, KvChoice)> = None;
         for c in candidates {
-            let est = kv_transfer_estimate(
-                &self.graph,
-                &self.ap,
-                ctx.src_gpus,
-                c.dst_gpus,
-                ctx.bytes,
-                &self.kv_avail,
-            );
+            let est =
+                self.kv
+                    .estimate(&self.ap, ctx.src_gpus, c.dst_gpus, ctx.bytes, ctx.link_util);
             let reserved_frac = if c.capacity_tokens == 0 {
                 1.0
             } else {
@@ -1287,6 +1384,186 @@ mod proptests {
                     );
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod netkv_equivalence {
+    use super::*;
+    use crate::netest::{available_bandwidth, kv_transfer_estimate};
+    use hs_topology::builders::{testbed, BuiltTopology};
+    use proptest::prelude::*;
+
+    /// The testbed with its last server's GPUs left out of the all-pairs
+    /// structure, so stripes to or from them are dropped.
+    fn setup() -> (BuiltTopology, HeroScheduler, Vec<NodeId>) {
+        let t = testbed();
+        let gpus = t.all_gpus();
+        let uncovered = t.gpus_by_server.last().expect("servers").clone();
+        let mut nodes: Vec<NodeId> = gpus
+            .iter()
+            .copied()
+            .filter(|g| !uncovered.contains(g))
+            .collect();
+        nodes.extend(&t.access_switches);
+        let ap = AllPairs::compute(&t.graph, &nodes, LinkWeight::Latency, None);
+        let s = HeroScheduler::new(&t.graph, ap, SchedulerParams::default());
+        (t, s, gpus)
+    }
+
+    /// `choose_decode` as it was before the compiled routes: residual
+    /// bandwidth rebuilt from the snapshot, then the estimate, the score
+    /// and the strict-`<` scan per candidate.
+    fn reference_choice(
+        s: &HeroScheduler,
+        ctx: &KvCtx<'_>,
+        candidates: &[KvCandidate<'_>],
+    ) -> Option<KvChoice> {
+        let avail = available_bandwidth(&s.graph, ctx.link_util);
+        let mut best: Option<(f64, KvChoice)> = None;
+        for c in candidates {
+            let est =
+                kv_transfer_estimate(&s.graph, &s.ap, ctx.src_gpus, c.dst_gpus, ctx.bytes, &avail);
+            let reserved_frac = if c.capacity_tokens == 0 {
+                1.0
+            } else {
+                1.0 - c.headroom_tokens as f64 / c.capacity_tokens as f64
+            };
+            let score = netkv_score(est, c.load, reserved_frac, &s.params.kv_score);
+            if best.as_ref().is_none_or(|(b, _)| score < *b) {
+                best = Some((
+                    score,
+                    KvChoice {
+                        instance: c.instance,
+                        est_transfer_s: est,
+                    },
+                ));
+            }
+        }
+        best.map(|(_, c)| c)
+    }
+
+    fn choice_bits(c: Option<KvChoice>) -> Option<(usize, u64)> {
+        c.map(|c| (c.instance, c.est_transfer_s.to_bits()))
+    }
+
+    /// One selection through the compiled routes, checked against the
+    /// reference scan and, per candidate, against the oracle estimate.
+    fn assert_matches(
+        s: &mut HeroScheduler,
+        src: &[NodeId],
+        dsts: &[Vec<NodeId>],
+        bytes: u64,
+        util: &[f64],
+    ) {
+        let candidates: Vec<KvCandidate<'_>> = dsts
+            .iter()
+            .enumerate()
+            .map(|(i, d)| KvCandidate {
+                instance: i,
+                load: (i * 7) % 4,
+                headroom_tokens: (i as u64 * 1_237) % 10_001,
+                capacity_tokens: if i % 5 == 4 { 0 } else { 10_000 },
+                dst_gpus: d,
+            })
+            .collect();
+        let ctx = KvCtx {
+            req: 0,
+            bytes,
+            src_gpus: src,
+            link_util: util,
+            now: SimTime::ZERO,
+        };
+        let got = s.choose_decode(&ctx, &candidates);
+        assert_eq!(
+            choice_bits(got),
+            choice_bits(reference_choice(s, &ctx, &candidates)),
+            "{src:?} -> {dsts:?}, {bytes} B"
+        );
+        let avail = available_bandwidth(&s.graph, util);
+        for d in dsts {
+            let fast = s.kv.estimate(&s.ap, src, d, bytes, util);
+            let oracle = kv_transfer_estimate(&s.graph, &s.ap, src, d, bytes, &avail);
+            assert_eq!(
+                fast.to_bits(),
+                oracle.to_bits(),
+                "{src:?} -> {d:?}, {bytes} B: {fast} vs {oracle}"
+            );
+        }
+    }
+
+    #[test]
+    fn compiled_routes_match_the_oracle_on_edge_cases() {
+        let (t, mut s, g) = setup();
+        let n = t.graph.link_count();
+        let tp8 = |k: usize| g[k..k + 8].to_vec();
+        let dsts = vec![
+            // TP1 targets: another server, the same GPU (co-located), a
+            // GPU of the same server, an uncovered GPU.
+            vec![g[5]],
+            vec![g[0]],
+            vec![g[1]],
+            vec![g[13]],
+            // TP4 and TP8 groups, one overlapping the source, one
+            // reaching the uncovered server.
+            g[4..8].to_vec(),
+            tp8(0),
+            tp8(8),
+        ];
+        let mut util = vec![0.0; n];
+        for (i, u) in util.iter_mut().enumerate() {
+            *u = [0.0, 0.3, 0.99, 1.0, 1.5, f64::NAN][i % 6];
+        }
+        let saturated = vec![1.0; n];
+        let short: Vec<f64> = (0..n / 3).map(|i| (i % 4) as f64 * 0.25).collect();
+        for src in [vec![g[0]], g[0..4].to_vec(), tp8(4)] {
+            for bytes in [0, 1, 3, 4, 7, 1 << 20, (1 << 33) + 5] {
+                for u in [&util, &saturated, &short, &vec![]] {
+                    assert_matches(&mut s, &src, &dsts, bytes, u);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Random source and destination groups drawn from one GPU pool
+        /// (co-located pairs and the uncovered server included), byte
+        /// counts from zero through below the stripe count to tens of GB,
+        /// and four snapshots in a row: a random one, the same one again,
+        /// the same buffer rewritten in place, and a short one. Every
+        /// selection and every estimate is bitwise the oracle's.
+        #[test]
+        fn compiled_routes_match_the_oracle(
+            src in proptest::collection::vec(0usize..16, 1..9),
+            dsts in proptest::collection::vec(proptest::collection::vec(0usize..16, 1..9), 1..6),
+            bytes_kind in 0u8..3,
+            raw_bytes in 0u64..1 << 35,
+            util_seed in 0u64..1 << 20,
+            short_len in 0usize..64,
+        ) {
+            let (t, mut s, g) = setup();
+            let src: Vec<NodeId> = src.into_iter().map(|i| g[i]).collect();
+            let dsts: Vec<Vec<NodeId>> = dsts
+                .into_iter()
+                .map(|d| d.into_iter().map(|i| g[i]).collect())
+                .collect();
+            let bytes = match bytes_kind {
+                0 => 0,
+                1 => raw_bytes % 8,
+                _ => raw_bytes,
+            };
+            let mut util: Vec<f64> = (0..t.graph.link_count() as u64)
+                .map(|l| ((l * 7919 + util_seed) % 103) as f64 / 100.0)
+                .collect();
+            assert_matches(&mut s, &src, &dsts, bytes, &util);
+            assert_matches(&mut s, &src, &dsts, bytes, &util);
+            for (l, u) in util.iter_mut().enumerate() {
+                *u = ((l as u64 * 31 + util_seed) % 97) as f64 / 96.0;
+            }
+            assert_matches(&mut s, &src, &dsts, bytes, &util);
+            util.truncate(short_len);
+            assert_matches(&mut s, &src, &dsts, bytes, &util);
         }
     }
 }

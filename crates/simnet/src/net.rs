@@ -390,6 +390,13 @@ pub struct SimNet {
     /// Which flows cross each directed slot, ascending by id (ids are
     /// monotone, so insertion is an append and order is free).
     incidence: Vec<Vec<FlowId>>,
+    /// Links where a flow joined an idle direction since the last
+    /// [`SimNet::drain_joined_links`], each once (`joined[l]` marks the
+    /// members, so the list never outgrows the link count). Together with
+    /// the links that carried flows at the last poll, these are the only
+    /// links whose byte counters can have moved (see [`crate::LinkMonitor`]).
+    joined_links: Vec<LinkId>,
+    joined: Vec<bool>,
     dirty: bool,
     /// Directed slots touched by flow adds/removes (or a capacity change)
     /// since the last solve.
@@ -440,6 +447,8 @@ impl SimNet {
             cum_bytes: vec![0.0; 2 * n],
             link_rate: vec![0.0; 2 * n],
             incidence: vec![Vec::new(); 2 * n],
+            joined_links: Vec::new(),
+            joined: vec![false; n],
             dirty: false,
             seed_slots: Vec::new(),
             heap: CompletionHeap::default(),
@@ -544,6 +553,10 @@ impl SimNet {
         let hops = path.len();
         // The new flow's slots seed the next scoped solve.
         for &d in path.iter() {
+            if self.incidence[slot(d)].is_empty() && !self.joined[d.0.idx()] {
+                self.joined[d.0.idx()] = true;
+                self.joined_links.push(d.0);
+            }
             self.incidence[slot(d)].push(id);
             self.seed_slots.push(slot(d));
         }
@@ -754,6 +767,20 @@ impl SimNet {
             total += pending_consumed(self.flow_ref(fid), self.clock);
         }
         total
+    }
+
+    /// Pass each link recorded since the last call to `f` — every link
+    /// where a flow joined an idle direction — and forget them.
+    pub(crate) fn drain_joined_links(&mut self, mut f: impl FnMut(LinkId)) {
+        for l in self.joined_links.drain(..) {
+            self.joined[l.idx()] = false;
+            f(l);
+        }
+    }
+
+    /// Whether a flow crosses `l` in either direction.
+    pub(crate) fn carries_flows(&self, l: LinkId) -> bool {
+        !self.incidence[l.idx() * 2].is_empty() || !self.incidence[l.idx() * 2 + 1].is_empty()
     }
 
     /// Link capacities (bits/s), after any fault scaling.

@@ -328,6 +328,14 @@ impl AllPairs {
     pub fn covers(&self, n: NodeId) -> bool {
         self.index_of[n.idx()] != u32::MAX
     }
+
+    /// `n`'s position in [`Self::nodes`], or `None` if it is not covered.
+    /// Pair `(a, b)` of the matrices sits at `index(a) * nodes().len() +
+    /// index(b)`, so a caller can key its own per-pair tables the same way.
+    pub fn index(&self, n: NodeId) -> Option<usize> {
+        let i = self.index_of[n.idx()];
+        (i != u32::MAX).then_some(i as usize)
+    }
 }
 
 /// Precomputed path store `P(k,a)` — a thin named wrapper kept for symmetry
@@ -351,7 +359,193 @@ pub fn k_shortest_paths(
 /// Yen's algorithm restricted to paths that never traverse a link in
 /// `avoid`. The online scheduler uses this to rebuild its route cache
 /// after a fault takes links out of service.
+///
+/// Every search is a Dijkstra that stops once `dst` is settled, over
+/// dense node and link ban masks, reusing one set of buffers for the
+/// whole run. The routes, their order and their costs are bit for bit
+/// those of full Dijkstra runs over hash-set bans (DESIGN.md §11).
 pub fn k_shortest_paths_avoiding(
+    g: &Graph,
+    src: NodeId,
+    dst: NodeId,
+    k: usize,
+    weight: LinkWeight,
+    avail_bps: Option<&[f64]>,
+    avoid: &FxHashSet<LinkId>,
+) -> Vec<Path> {
+    let mut search = SpurSearch::new(g, avoid);
+    let mut result: Vec<Path> = Vec::new();
+    let Some(first) = search.run(g, src, dst, weight, avail_bps) else {
+        return result;
+    };
+    result.push(first);
+    // Candidate pool. A link sequence already in `result` or here is never
+    // offered again.
+    let mut candidates: Vec<Path> = Vec::new();
+    let mut last_nodes: Vec<NodeId> = Vec::new();
+    let mut spur_bans: Vec<LinkId> = Vec::new();
+
+    while result.len() < k {
+        let last = result.last().expect("nonempty");
+        last_nodes.clear();
+        last_nodes.push(src);
+        for &le in &last.links {
+            let cur = *last_nodes.last().expect("nonempty");
+            last_nodes.push(g.link(le).other(cur).expect("path link not incident"));
+        }
+        // Spur from each node of the previous path.
+        for spur_idx in 0..last.links.len() {
+            let root = &last.links[..spur_idx];
+            // Ban the next hop of every known path sharing this root (a
+            // link already banned stays banned after the spur).
+            for p in result.iter().chain(candidates.iter()) {
+                if p.links.len() > spur_idx && p.links[..spur_idx] == *root {
+                    let l = p.links[spur_idx];
+                    if !search.link_banned[l.idx()] {
+                        search.link_banned[l.idx()] = true;
+                        spur_bans.push(l);
+                    }
+                }
+            }
+            // Ban root-path nodes (except the spur node) to keep paths
+            // loopless.
+            for &n in &last_nodes[..spur_idx] {
+                search.node_banned[n.idx()] = true;
+            }
+            let spur = search.run(g, last_nodes[spur_idx], dst, weight, avail_bps);
+            for &n in &last_nodes[..spur_idx] {
+                search.node_banned[n.idx()] = false;
+            }
+            for l in spur_bans.drain(..) {
+                search.link_banned[l.idx()] = false;
+            }
+            let Some(spur) = spur else {
+                continue;
+            };
+            let mut links = root.to_vec();
+            links.extend_from_slice(&spur.links);
+            if result
+                .iter()
+                .chain(candidates.iter())
+                .all(|p| p.links != links)
+            {
+                let cost = links
+                    .iter()
+                    .map(|&l| weight.cost(g, l, avail_bps))
+                    .sum::<f64>();
+                candidates.push(Path {
+                    src,
+                    dst,
+                    links,
+                    cost,
+                });
+            }
+        }
+        if candidates.is_empty() {
+            break;
+        }
+        // Take the cheapest candidate (stable tie-break on link ids).
+        let best = candidates
+            .iter()
+            .enumerate()
+            .min_by(|(_, x), (_, y)| {
+                x.cost
+                    .partial_cmp(&y.cost)
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| x.links.cmp(&y.links))
+            })
+            .map(|(i, _)| i)
+            .expect("nonempty candidates");
+        result.push(candidates.swap_remove(best));
+    }
+    result
+}
+
+/// The searches of one Yen run: Dijkstra's buffers and the dense ban
+/// masks, reused by every spur.
+struct SpurSearch {
+    dist: Vec<f64>,
+    prev: Vec<Option<LinkId>>,
+    heap: BinaryHeap<HeapEntry>,
+    /// Nodes a search may not enter (the spur's root path).
+    node_banned: Vec<bool>,
+    /// Links a search may not cross: the caller's `avoid` set for the
+    /// whole run, plus each spur's banned next hops while it runs.
+    link_banned: Vec<bool>,
+}
+
+impl SpurSearch {
+    fn new(g: &Graph, avoid: &FxHashSet<LinkId>) -> Self {
+        let mut link_banned = vec![false; g.link_count()];
+        if !avoid.is_empty() {
+            for (i, banned) in link_banned.iter_mut().enumerate() {
+                *banned = avoid.contains(&LinkId(i as u32));
+            }
+        }
+        SpurSearch {
+            dist: vec![f64::INFINITY; g.node_count()],
+            prev: vec![None; g.node_count()],
+            heap: BinaryHeap::new(),
+            node_banned: vec![false; g.node_count()],
+            link_banned,
+        }
+    }
+
+    /// Shortest path from `src` to `dst` under the current bans.
+    ///
+    /// The search stops when `dst` pops from the heap. A popped node's
+    /// distance can no longer fall: every later relaxation adds a
+    /// non-negative weight to a cost at least the popped one, and only a
+    /// strictly smaller cost replaces `dist`. The nodes on `dst`'s
+    /// prev-chain were all popped before it, so the chain, the route and
+    /// `dist[dst]` are exactly those of a search run to exhaustion; the
+    /// heap pops in the same `(cost, node)` order up to that point.
+    fn run(
+        &mut self,
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        weight: LinkWeight,
+        avail_bps: Option<&[f64]>,
+    ) -> Option<Path> {
+        self.dist.fill(f64::INFINITY);
+        self.prev.fill(None);
+        self.heap.clear();
+        if self.node_banned[src.idx()] {
+            return None;
+        }
+        self.dist[src.idx()] = 0.0;
+        self.heap.push(HeapEntry {
+            cost: 0.0,
+            node: src,
+        });
+        while let Some(HeapEntry { cost, node }) = self.heap.pop() {
+            if cost > self.dist[node.idx()] {
+                continue; // stale entry
+            }
+            if node == dst {
+                break;
+            }
+            for &(nb, le) in g.neighbors(node) {
+                if self.node_banned[nb.idx()] || self.link_banned[le.idx()] {
+                    continue;
+                }
+                let c = cost + weight.cost(g, le, avail_bps);
+                if c < self.dist[nb.idx()] {
+                    self.dist[nb.idx()] = c;
+                    self.prev[nb.idx()] = Some(le);
+                    self.heap.push(HeapEntry { cost: c, node: nb });
+                }
+            }
+        }
+        reconstruct(g, src, dst, &self.dist, &self.prev)
+    }
+}
+
+/// Yen's algorithm as it was before [`SpurSearch`]: every search a full
+/// [`dijkstra`] over hash-set bans. The oracle of the equivalence tests.
+#[cfg(test)]
+pub(crate) fn k_shortest_paths_reference(
     g: &Graph,
     src: NodeId,
     dst: NodeId,
@@ -631,6 +825,78 @@ mod tests {
         let p = shortest_path(&g, gpus[0], gpus[2], LinkWeight::Hops, None).unwrap();
         assert_eq!(p.bottleneck_bps(&g), bandwidth::ETH_100G);
     }
+
+    /// The routes as bit patterns: link sequence and cost bits per path.
+    pub(super) fn route_bits(paths: &[Path]) -> Vec<(NodeId, NodeId, Vec<LinkId>, u64)> {
+        paths
+            .iter()
+            .map(|p| (p.src, p.dst, p.links.clone(), p.cost.to_bits()))
+            .collect()
+    }
+
+    /// Both Yen implementations over every ordered pair of `nodes`, under
+    /// hop and latency weights (hop costs tie everywhere, so the tie
+    /// order is exercised too).
+    pub(super) fn assert_yen_matches_reference(
+        g: &Graph,
+        nodes: &[NodeId],
+        k: usize,
+        avoid: &FxHashSet<LinkId>,
+    ) {
+        for weight in [LinkWeight::Hops, LinkWeight::Latency] {
+            for &a in nodes {
+                for &b in nodes {
+                    let fast = k_shortest_paths_avoiding(g, a, b, k, weight, None, avoid);
+                    let reference = k_shortest_paths_reference(g, a, b, k, weight, None, avoid);
+                    assert_eq!(
+                        route_bits(&fast),
+                        route_bits(&reference),
+                        "{a:?} -> {b:?}, k = {k}, {weight:?}, avoid {avoid:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Avoid sets for a graph of `links` links: none, then a few drawn
+    /// by a fixed LCG (one link, then several).
+    fn avoid_sets(links: usize, seed: u64) -> Vec<FxHashSet<LinkId>> {
+        let mut x = seed;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            LinkId(((x >> 33) % links as u64) as u32)
+        };
+        let mut sets = vec![FxHashSet::default()];
+        for size in [1, 3, 6] {
+            sets.push((0..size).map(|_| next()).collect());
+        }
+        sets
+    }
+
+    #[test]
+    fn yen_matches_reference_on_fabrics() {
+        let t = crate::builders::testbed();
+        let mut nodes = t.all_gpus();
+        nodes.extend(&t.access_switches);
+        for avoid in avoid_sets(t.graph.link_count(), 1) {
+            assert_yen_matches_reference(&t.graph, &nodes, 3, &avoid);
+        }
+        let m = crate::builders::fig2_micro();
+        let nodes: Vec<NodeId> = m.graph.nodes().map(|(id, _)| id).collect();
+        for avoid in avoid_sets(m.graph.link_count(), 2) {
+            assert_yen_matches_reference(&m.graph, &nodes, 4, &avoid);
+        }
+        // The scheduler's xtracks fabric: every GPU pair in release builds,
+        // a stride of them in debug builds.
+        let x = crate::builders::xtracks(&crate::builders::XTracksConfig::two_tracks(2));
+        let stride = if cfg!(debug_assertions) { 11 } else { 1 };
+        let gpus: Vec<NodeId> = x.all_gpus().into_iter().step_by(stride).collect();
+        for avoid in avoid_sets(x.graph.link_count(), 3).into_iter().take(2) {
+            assert_yen_matches_reference(&x.graph, &gpus, 3, &avoid);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -724,6 +990,22 @@ mod proptests {
                 let uniq: std::collections::HashSet<_> = ns.iter().collect();
                 prop_assert_eq!(uniq.len(), ns.len(), "loop");
             }
+        }
+
+        /// The early-exit, mask-banned Yen returns the reference's routes
+        /// in the reference's order with the same cost bits, for every
+        /// ordered pair of a random graph and a random avoid set.
+        #[test]
+        fn yen_matches_reference(
+            g in arb_graph(),
+            k in 1usize..5,
+            avoid_mask in 0u64..(1 << 22),
+        ) {
+            let avoid: FxHashSet<LinkId> = (0..g.link_count())
+                .filter(|&l| avoid_mask & (1 << (l % 22)) != 0 && l % 3 == 0)
+                .map(|l| LinkId(l as u32))
+                .collect();
+            super::tests::assert_yen_matches_reference(&g, &g.gpus(), k, &avoid);
         }
     }
 }

@@ -760,7 +760,8 @@ fn golden_contended_testbed_run_with_faults() {
     let mut d = hero_deploy(3.0).with_faults(faults);
     d.ina_capacity_per_switch = 1;
     d.background = Some((20.0, 1 << 28));
-    let (r, work) = serve_trace_with_solve_stats(&d, 13, 3.0, SimTime::from_secs(10));
+    let (r, work, links_visited) =
+        serve_trace_with_solve_stats(&d, 13, 3.0, SimTime::from_secs(10));
     assert!(r.arrived > 0 && r.aborted_flows > 0, "faults never bit");
     assert_eq!(report_digest(&r), "f65cd1c1049fac4c");
     // The fabric's exact work counters. The solve counts equal the ones
@@ -779,17 +780,23 @@ fn golden_contended_testbed_run_with_faults() {
             ..Default::default()
         }
     );
+    // The monitor's exact work: links visited over all its polls. A full
+    // scan visits all 41 testbed links on each 50 ms tick of the 12.5 s
+    // run (about 10,250 visits); live-link polling visits only the links
+    // that carried flows or still had a non-zero estimate, and the
+    // background traffic keeps most of this small fabric busy.
+    assert_eq!(links_visited, 9_748);
 }
 
 /// [`Deployment::serve_trace`] driven by hand, so the run's network
-/// solve counters can be read once it ends. The golden digest checks it
-/// is the same run.
+/// solve counters and the monitor's visited-link count can be read once
+/// it ends. The golden digest checks it is the same run.
 fn serve_trace_with_solve_stats(
     d: &Deployment,
     seed: u64,
     rate: f64,
     duration: SimTime,
-) -> (SimReport, hs_simnet::SolveStats) {
+) -> (SimReport, hs_simnet::SolveStats, u64) {
     let mut rng = SeedSplitter::new(seed).stream("trace");
     let trace = Trace::generate(&d.workload, &mut Poisson::new(rate), &mut rng, duration);
     let margin = duration
@@ -804,7 +811,7 @@ fn serve_trace_with_solve_stats(
         d.strategy(),
     );
     let r = sim.run(duration + margin);
-    (r, sim.solve_stats())
+    (r, sim.solve_stats(), sim.monitor_links_visited())
 }
 
 /// Sizes both pools from the arrival count a monitor tick shows it, so
